@@ -1,13 +1,12 @@
-"""Scale-out benchmark: tiled build, packed signatures, shared-memory sweeps.
+"""Scale-out benchmark: tiled build and packed signatures.
 
 The perf-smoke run behind ``BENCH_scale.json``: a small (n=20) instance
 of :mod:`repro.scalebench` that asserts the *correctness* half of the
-scale-out claims unconditionally — bit-identity of tiled/packed/shared
-results, the >= 3.5x packed-signature memory cut, zero leaked shared
-memory — and the *physical* half (parallel speedups) only where the
-hardware can express it (``os.cpu_count() >= 2``; a single-core runner
-cannot speed anything up, so there the numbers are recorded, not
-asserted).
+scale-out claims unconditionally — bit-identity of tiled/packed builds,
+the >= 3.5x packed-signature memory cut, no leaked tiling buffer — and
+the *physical* half (parallel speedups) only where the hardware can
+express it (``os.cpu_count() >= 2``; a single-core runner cannot speed
+anything up, so there the numbers are recorded, not asserted).
 
 Run:  pytest benchmarks/test_scale.py -s
 """
@@ -19,8 +18,8 @@ import os
 
 from conftest import emit
 
-from repro.geometry.shm import owned_segment_names
-from repro.scalebench import bench_build, bench_sweep, run_scale_bench
+from repro.geometry.tiling import owned_segment_names
+from repro.scalebench import bench_build, run_scale_bench
 
 _MULTICORE = (os.cpu_count() or 1) >= 2
 
@@ -53,27 +52,11 @@ def test_scale_build_and_packing(results_dir):
     assert rec["memory_ratio"] >= 3.5, (
         f"packed signatures only {rec['memory_ratio']:.2f}x smaller than dense"
     )
+    assert owned_segment_names() == [], "tiled build left its output buffer behind"
     if _MULTICORE:
         # physical claim, only meaningful with real parallel hardware; the
         # bound is loose because this smoke instance is small
         assert rec["speedup"]["2"] > 0.5
-
-
-def test_scale_sweep_shared_memory(results_dir):
-    """Shared-memory sweeps match the pickled path bitwise and leak nothing."""
-    rec = bench_sweep(workers=2, n_sensors=10, n_points=4, n_reps=2, duration_s=4.0)
-    emit(
-        "scale: sweep transport (shared vs pickled)",
-        [
-            f"workers={rec['workers']}  points={rec['n_points']}  reps={rec['n_reps']}",
-            f"  pickled {rec['pickled_s']:.2f} s  shared {rec['shared_s']:.2f} s "
-            f"({rec['speedup']:.2f}x)",
-            f"  identical={rec['identical']}  leaked_segments={rec['leaked_segments']}",
-        ],
-    )
-    assert rec["identical"], "shared-memory sweep records diverged from pickled path"
-    assert rec["leaked_segments"] == 0, "leaked /dev/shm segments after sweep"
-    assert owned_segment_names() == []
 
 
 def test_scale_bench_json(results_dir):
@@ -85,7 +68,6 @@ def test_scale_bench_json(results_dir):
         [
             f"cpu_count={result['cpu_count']}",
             f"build sizes: {[r['n_sensors'] for r in result['build']]}",
-            f"sweep speedup: {result['sweep']['speedup']:.2f}x",
             f"wrote {out}",
         ],
     )
@@ -93,10 +75,4 @@ def test_scale_bench_json(results_dir):
     assert on_disk["cpu_count"] == result["cpu_count"]
     assert [r["n_sensors"] for r in on_disk["build"]] == [20]
     assert all(r["identical"] for r in on_disk["build"])
-    assert on_disk["sweep"]["identical"]
-    assert on_disk["sweep"]["leaked_segments"] == 0
     assert all(r["memory_ratio"] >= 3.5 for r in on_disk["build"])
-    if _MULTICORE:
-        # throughput claim is physical: only assert where cores exist; the
-        # headline (>= 2x at n=100) needs the full-size run in BENCH_scale.json
-        assert on_disk["sweep"]["speedup"] > 0.5

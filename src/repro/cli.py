@@ -48,7 +48,7 @@ EXPERIMENTS = {
     "density": "the §5.2 density trade-off: accuracy vs relay load / lifetime",
     "faultlab": "fault-injection campaign: robustness curves per fault family x intensity",
     "fuzz": "differential fuzzing: optimized kernels vs the oracle tier",
-    "bench": "scale benchmark: tiled build, packed signatures, shared-memory sweeps -> BENCH_scale.json",
+    "bench": "scale benchmark: tiled build, packed signatures -> BENCH_scale.json",
 }
 
 
@@ -346,15 +346,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             f"serial {rec['serial_s']:.3f}s  {speedups}  "
             f"memory {rec['memory_ratio']:.2f}x  identical={rec['identical']}"
         )
-    sw = result["sweep"]
-    print(
-        f"sweep ({sw['workers']} workers, {sw['n_points']} points): "
-        f"pickled {sw['pickled_s']:.2f}s, shared {sw['shared_s']:.2f}s "
-        f"({sw['speedup']:.2f}x)  identical={sw['identical']}  "
-        f"leaked_segments={sw['leaked_segments']}"
-    )
-    if not all(rec["identical"] for rec in result["build"]) or not sw["identical"]:
-        print("BIT-IDENTITY VIOLATION: tiled/packed/shared results differ from serial")
+    if not all(rec["identical"] for rec in result["build"]):
+        print("BIT-IDENTITY VIOLATION: tiled/packed builds differ from serial")
         return 1
     if "path" in result:
         print(f"wrote {result['path']}")

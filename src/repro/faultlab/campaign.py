@@ -10,7 +10,9 @@ plus the sweep's merged ``metrics.json``.
 Every point runs with the *same* base seed (``seed_stride=0``): all
 (family, intensity) cells share identical worlds and noise, so a curve's
 shape is the fault's doing, not replication luck, and trackers within a
-cell see byte-identical batch streams.
+cell see byte-identical batch streams.  It also means a pooled campaign
+divides only ``n_reps`` worlds: ``parallel_sweep`` builds them once in the
+parent and every forked worker inherits them.
 """
 
 from __future__ import annotations
@@ -146,8 +148,6 @@ def run_campaign(
     out_dir: "str | os.PathLike | None" = None,
     n_workers: "int | None" = None,
     cache_dir: "str | os.PathLike | None" = None,
-    share_maps: bool = True,
-    chunksize: "int | None" = None,
 ) -> CampaignResult:
     """Sweep fault type × intensity and emit robustness curves.
 
@@ -164,11 +164,6 @@ def run_campaign(
         :func:`parallel_sweep`; all cells share the same base seed.
     out_dir : when given, writes ``robustness.csv`` and the sweep's
         ``metrics.json`` + ``trace.jsonl`` there.
-    share_maps : default True — every cell shares the same worlds
-        (``seed_stride=0``), so the campaign prebuilds the ``n_reps``
-        face maps once and pool workers attach them zero-copy via shared
-        memory instead of rebuilding per task.  Bit-identical either way.
-    chunksize : task chunking for the pool (see :func:`parallel_sweep`).
     """
     if families is None:
         families = tuple(FAULT_FAMILIES)
@@ -194,8 +189,6 @@ def run_campaign(
         cache_dir=cache_dir,
         faults=faults,
         obs_dir=out_dir,
-        share_maps=share_maps,
-        chunksize=chunksize,
     )
     csv_path = metrics_path = None
     if out_dir is not None:

@@ -15,7 +15,9 @@ Two tiers:
 * an in-process LRU keyed by a SHA-256 over the exact node bytes and the
   build parameters (content-addressed: two deployments match only if
   every coordinate matches bit for bit).  Under ``fork`` start methods
-  the parent's warm entries are inherited copy-on-write by pool workers.
+  the parent's warm entries are inherited copy-on-write by pool workers —
+  :func:`repro.sim.parallel.parallel_sweep` prewarms the worlds several
+  tasks share for exactly this reason.
 * an optional on-disk ``.npz`` store (``REPRO_FACE_CACHE_DIR`` or
   :func:`configure_face_map_cache`) so repeated processes — sweep
   workers, CI shards, notebook restarts — share the build.  Writes are
@@ -131,7 +133,6 @@ class FaceMapCache:
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
-        self.shm_hits = 0
         self.evictions = 0
         self.migrations = 0
 
@@ -144,7 +145,9 @@ class FaceMapCache:
             "hits": self.hits,
             "misses": self.misses,
             "disk_hits": self.disk_hits,
-            "shm_hits": self.shm_hits,
+            # no shared-memory tier any more; the key stays because stored
+            # benchmark harnesses (perfbench/worker.py) still read it
+            "shm_hits": 0,
             "evictions": self.evictions,
             "migrations": self.migrations,
         }
@@ -263,16 +266,6 @@ class FaceMapCache:
             if record:
                 obs.counter("geometry.cache.hits").inc()
             return self._view(fm)
-        # zero-copy tier: a map published into shared memory by the sweep
-        # parent (repro.geometry.shm); views attach instead of rebuilding
-        from repro.geometry.shm import shared_face_map
-
-        shared = shared_face_map(key)
-        if shared is not None:
-            self.shm_hits += 1
-            if record:
-                obs.counter("geometry.cache.shm_hits").inc()
-            return shared
         fm = self._disk_load(key)
         if fm is not None:
             self.disk_hits += 1

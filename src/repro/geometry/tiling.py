@@ -6,7 +6,8 @@ serial builder walks in one pass.  This module splits the cell axis into
 tiles and classifies them either in-process (bounding peak memory to one
 tile) or across worker processes that write their tiles directly into a
 single preallocated ``multiprocessing.shared_memory`` buffer, so there is
-no per-tile result pickling and no merge copy.
+no per-tile result pickling and no merge copy.  The buffer is unlinked in
+a ``finally`` and, should the process die first, by an ``atexit`` guard.
 
 Bit-identity: classification is elementwise per cell
 (:func:`~repro.geometry.primitives.pairwise_distances` is pure
@@ -19,7 +20,11 @@ unique-row face grouping bit-identical too.
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing as mp
+import os
+import uuid
+from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
@@ -27,9 +32,76 @@ from repro.geometry.apollonius import classify_points_pairwise
 from repro.geometry.bisector import certain_signatures
 from repro.geometry.grid import Grid
 from repro.geometry.packing import PackedSignatures, pack_signatures, packed_row_bytes
-from repro.geometry.shm import attach_segment, create_segment, release_segment
 
 __all__ = ["classify_cells_tiled", "default_tile_cells"]
+
+_SEGMENT_PREFIX = "reprofm"
+
+#: Segments created (and therefore owned) by this process, by name.
+_owned_segments: dict[str, shared_memory.SharedMemory] = {}
+_atexit_installed = False
+
+
+def _cleanup_owned_segments() -> None:
+    for name in list(_owned_segments):
+        seg = _owned_segments.pop(name)
+        try:
+            seg.close()
+        except OSError:  # pragma: no cover - defensive
+            pass
+        try:
+            seg.unlink()
+        except FileNotFoundError:
+            pass
+
+
+def _create_segment(nbytes: int) -> shared_memory.SharedMemory:
+    """Create a leak-guarded shared-memory segment owned by this process."""
+    global _atexit_installed
+    if not _atexit_installed:
+        atexit.register(_cleanup_owned_segments)
+        _atexit_installed = True
+    name = f"{_SEGMENT_PREFIX}_{os.getpid()}_{uuid.uuid4().hex[:10]}"
+    seg = shared_memory.SharedMemory(name=name, create=True, size=max(1, int(nbytes)))
+    _owned_segments[seg.name] = seg
+    return seg
+
+
+def _attach_segment(name: str) -> shared_memory.SharedMemory:
+    """Attach to an existing segment without registering it for cleanup.
+
+    The creator owns unlinking; an attaching worker must not let Python's
+    per-process ``resource_tracker`` claim the segment, or worker exit
+    triggers spurious leak warnings and double-unlinks.  Python 3.13 has
+    ``track=False`` for this; on 3.11/3.12 we unregister by hand.
+    """
+    try:
+        return shared_memory.SharedMemory(name=name, track=False)
+    except TypeError:  # Python < 3.13: suppress registration during attach
+        original_register = resource_tracker.register
+        resource_tracker.register = lambda *args, **kwargs: None
+        try:
+            return shared_memory.SharedMemory(name=name)
+        finally:
+            resource_tracker.register = original_register
+
+
+def _release_segment(seg: shared_memory.SharedMemory) -> None:
+    """Close and unlink a segment created by :func:`_create_segment`."""
+    _owned_segments.pop(seg.name, None)
+    try:
+        seg.close()
+    except OSError:  # pragma: no cover - defensive
+        pass
+    try:
+        seg.unlink()
+    except FileNotFoundError:
+        pass
+
+
+def owned_segment_names() -> list[str]:
+    """Names of live segments owned by this process (for leak tests)."""
+    return sorted(_owned_segments)
 
 #: Cap on one tile's dense int8 signature block (cells x pairs bytes).
 _TILE_BYTES = 16 * 1024 * 1024
@@ -76,7 +148,7 @@ def _init_worker(
     chunk_pairs: int,
     packed: bool,
 ) -> None:
-    segment = attach_segment(shm_name)
+    segment = _attach_segment(shm_name)
     _WORKER.update(
         segment=segment,
         buf=np.ndarray(buf_shape, dtype=np.uint8 if packed else np.int8, buffer=segment.buf),
@@ -154,7 +226,7 @@ def classify_cells_tiled(
             out[start:stop] = pack_signatures(sigs) if packed else sigs
         return PackedSignatures(out, n_pairs) if packed else out
 
-    segment = create_segment(int(np.prod(out_shape, dtype=np.int64)))
+    segment = _create_segment(int(np.prod(out_shape, dtype=np.int64)))
     try:
         ctx = _pool_context()
         with ctx.Pool(
@@ -179,5 +251,5 @@ def classify_cells_tiled(
         out = buf.copy()
         del buf
     finally:
-        release_segment(segment)
+        _release_segment(segment)
     return PackedSignatures(out, n_pairs) if packed else out

@@ -1,4 +1,4 @@
-"""Scale-out benchmark: build-time, packing-memory, and sweep-throughput curves.
+"""Scale-out benchmark: build-time and packing-memory curves.
 
 ``fttt bench`` (and ``benchmarks/test_scale.py``) drive this module to
 regenerate ``BENCH_scale.json`` from one command:
@@ -6,16 +6,12 @@ regenerate ``BENCH_scale.json`` from one command:
 * **build curves** — cold face-map construction time over n sensors for
   the serial builder and the tiled builder at each worker count, with a
   bit-identity cross-check against the serial arrays;
-* **packing curves** — dense vs 2-bit packed signature residency;
-* **sweep throughput** — an identical-worlds sweep (the campaign shape,
-  ``seed_stride=0``) run once with per-task map pickling/rebuilding and
-  once with shared-memory attach, records compared for equality.
+* **packing curves** — dense vs 2-bit packed signature residency.
 
 Every record carries ``cpu_count``: parallel speedups are physical, so a
-single-core runner legitimately reports ~1x there while the packing and
-zero-copy numbers (which are core-independent) still hold.  The headline
-targets (3x build at n=100/4 workers, 2x sweep throughput) are expected
-on >= 4 free cores.
+single-core runner legitimately reports ~1x there while the packing
+numbers (which are core-independent) still hold.  The headline target
+(3x build at n=100/4 workers) is expected on >= 4 free cores.
 """
 
 from __future__ import annotations
@@ -27,13 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.config import GridConfig, SimulationConfig
 from repro.geometry.faces import build_face_map
 from repro.geometry.grid import Grid
 from repro.network.deployment import random_deployment
-from repro.sim.parallel import parallel_sweep
 
-__all__ = ["bench_build", "bench_sweep", "run_scale_bench", "DEFAULT_OUT"]
+__all__ = ["bench_build", "run_scale_bench", "DEFAULT_OUT"]
 
 DEFAULT_OUT = "BENCH_scale.json"
 
@@ -100,63 +94,6 @@ def bench_build(
     }
 
 
-def bench_sweep(
-    *,
-    workers: int,
-    n_sensors: int = 12,
-    n_points: int = 6,
-    n_reps: int = 2,
-    seed: int = 0,
-    duration_s: float = 6.0,
-    cell: float = 4.0,
-) -> dict:
-    """Identical-worlds sweep throughput: per-task rebuild/pickle vs shared memory.
-
-    The campaign shape — every point the same config and base seed
-    (``seed_stride=0``) — so the map work is maximally redundant and the
-    transport difference is what the clock sees.  Record equality between
-    the two runs is asserted into the result.
-    """
-    config = SimulationConfig(
-        n_sensors=n_sensors,
-        duration_s=duration_s,
-        sensing_range_m=150.0,
-        grid=GridConfig(cell_size_m=cell),
-    )
-    points = [(config, {"point": i}) for i in range(n_points)]
-    kwargs = dict(n_reps=n_reps, seed=seed, n_workers=workers, seed_stride=0)
-
-    t0 = time.perf_counter()
-    base_records = parallel_sweep(points, ["fttt"], share_maps=False, **kwargs)
-    pickled_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    shared_records = parallel_sweep(points, ["fttt"], share_maps=True, chunksize=1, **kwargs)
-    shared_s = time.perf_counter() - t0
-
-    identical = len(base_records) == len(shared_records) and all(
-        a.tracker == b.tracker
-        and a.params == b.params
-        and a.mean_error == b.mean_error
-        and a.std_error == b.std_error
-        for a, b in zip(base_records, shared_records)
-    )
-    leaked = [f for f in os.listdir("/dev/shm") if f.startswith("reprofm")] if os.path.isdir("/dev/shm") else []
-    return {
-        "workers": int(workers),
-        "n_sensors": int(n_sensors),
-        "n_points": int(n_points),
-        "n_reps": int(n_reps),
-        "pickled_s": pickled_s,
-        "shared_s": shared_s,
-        "throughput_pickled_tasks_per_s": n_points / pickled_s if pickled_s > 0 else float("inf"),
-        "throughput_shared_tasks_per_s": n_points / shared_s if shared_s > 0 else float("inf"),
-        "speedup": pickled_s / shared_s if shared_s > 0 else float("inf"),
-        "identical": bool(identical),
-        "leaked_segments": len(leaked),
-    }
-
-
 def run_scale_bench(
     sizes: "tuple[int, ...]" = (20, 50, 100),
     workers: "tuple[int, ...]" = (1, 4),
@@ -165,22 +102,17 @@ def run_scale_bench(
     cell: float = 2.5,
     seed: int = 0,
     repeats: int = 1,
-    sweep_sensors: int = 12,
-    sweep_workers: "int | None" = None,
     out: "str | os.PathLike | None" = DEFAULT_OUT,
 ) -> dict:
     """Full scale benchmark; writes/updates *out* (``BENCH_scale.json``).
 
     Returns the result dict: ``build`` is one record per deployment size
-    (see :func:`bench_build`), ``sweep`` one record
-    (:func:`bench_sweep`).  Existing keys in an old *out* file are
+    (see :func:`bench_build`).  Existing keys in an old *out* file are
     replaced wholesale — the file is regenerated, not merged.
     """
     cpu = os.cpu_count() or 1
-    if sweep_workers is None:
-        sweep_workers = max(2, min(max(workers), cpu))
     result = {
-        "benchmark": "scale-out layer (tiled build / packed signatures / shared-memory sweeps)",
+        "benchmark": "scale-out layer (tiled build / packed signatures)",
         "cpu_count": cpu,
         "config": {
             "sizes": [int(n) for n in sizes],
@@ -194,7 +126,6 @@ def run_scale_bench(
             bench_build(n, tuple(workers), field=field, cell=cell, seed=seed, repeats=repeats)
             for n in sizes
         ],
-        "sweep": bench_sweep(workers=sweep_workers, n_sensors=sweep_sensors, seed=seed),
         "note": (
             "parallel speedups are physical: expect ~1x on a single-core "
             "runner (see cpu_count); packing memory_ratio and bit-identity "

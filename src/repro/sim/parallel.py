@@ -11,6 +11,12 @@ Workers re-import ``repro`` (fork or spawn both work); tasks are coarse
 (one full parameter point per task) so IPC overhead is negligible next to
 the seconds-long tracking runs inside.
 
+Before a pool starts, the parent builds every face map that more than one
+task needs (the ``seed_stride=0`` campaign shape) into its in-memory
+cache; forked workers inherit those entries copy-on-write and never
+rebuild them.  Worlds only one task visits still build in their worker,
+so distinct-world sweeps keep their parallel builds.
+
 With ``obs_dir`` set, the sweep runs under :mod:`repro.obs`: workers
 enable the metrics registry (via the ``REPRO_OBS`` environment variable,
 which both fork and spawn children inherit), snapshot it per task, and
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
@@ -61,16 +68,35 @@ def recommended_workers(n_tasks: int) -> int:
     return max(1, min(n_tasks, cores))
 
 
-def _pool_init_shared_maps(manifests: list[dict]) -> None:
-    """Pool initializer: register shared face-map manifests in this worker.
+def _prewarm_shared_worlds(
+    configs: "Sequence[SimulationConfig]",
+    task_seeds: Sequence[int],
+    *,
+    n_reps: int,
+    deployment: str,
+) -> None:
+    """Build, in this process, the face maps more than one task will need.
 
-    Installed once per worker process; every task's cache lookups then
-    resolve against the parent's published segments (zero-copy attach)
-    before falling back to disk or a rebuild.
+    A world is keyed by ``(config, task seed)`` (configs are frozen and
+    hash by value).  Nothing is built when the cache could not keep it —
+    caching disabled or a zero-size LRU — and never more maps than the
+    LRU holds, so no prewarmed entry is evicted before a worker forks.
     """
-    from repro.geometry.shm import install_shared_face_maps
+    from repro.geometry.cache import default_face_map_cache, face_map_cache_enabled
+    from repro.sim.scenario import replication_scenarios
 
-    install_shared_face_maps(manifests)
+    budget = default_face_map_cache().maxsize if face_map_cache_enabled() else 0
+    visits = Counter(zip(configs, task_seeds))
+    for (config, task_seed), n_tasks in visits.items():
+        if n_tasks < 2:
+            continue
+        for scenario in replication_scenarios(
+            config, n_reps=n_reps, seed=task_seed, deployment=deployment
+        ):
+            if budget <= 0:
+                return
+            scenario.face_map  # builds (or loads) into the process cache
+            budget -= 1
 
 
 def _run_point(args: tuple) -> "tuple[list[SweepRecord], dict | None]":
@@ -158,8 +184,6 @@ def parallel_sweep(
     cache_dir: "str | os.PathLike | None" = None,
     faults: "FaultModel | Sequence[FaultModel | None] | None" = None,
     obs_dir: "str | os.PathLike | None" = None,
-    share_maps: bool = False,
-    chunksize: "int | None" = None,
 ) -> list[SweepRecord]:
     """Run ``replicate_mean_error`` for every (config, params) point in a pool.
 
@@ -177,10 +201,8 @@ def parallel_sweep(
         this directory (see :mod:`repro.geometry.cache`): a deployment
         divided by one task is loaded, not rebuilt, by every other task —
         across workers and across repeated ``parallel_sweep`` calls.
-        Results are bit-identical either way.  (Under ``fork`` start
-        methods the parent's warm in-memory cache is additionally
-        inherited copy-on-write for free.)  The environment mutation is
-        scoped to this call.
+        Results are bit-identical either way.  The environment mutation
+        is scoped to this call.
     faults : optional fault model applied to every replication's batch
         stream (forwarded to :func:`replicate_mean_error`); a list or
         tuple instead assigns one model (or None) per point — the
@@ -190,18 +212,6 @@ def parallel_sweep(
         registries of every task — plus ``trace.jsonl`` into this
         directory.  Results are bit-identical with or without it.  After
         the call the process registry holds the merged sweep metrics.
-    share_maps : prebuild the distinct face maps the tasks will need and
-        publish them into ``multiprocessing.shared_memory``
-        (:mod:`repro.geometry.shm`); pool workers attach zero-copy
-        instead of rebuilding or unpickling.  Segments are unlinked in a
-        ``finally`` (and belt-and-braces at interpreter exit), so crashes
-        and KeyboardInterrupt cannot leak ``/dev/shm`` entries.  Results
-        are bit-identical — the shared map is byte-for-byte the built
-        map.  Most effective when points revisit the same worlds
-        (``seed_stride=0`` campaigns); ignored for inline runs.
-    chunksize : tasks handed to a worker per dispatch (``pool.map``
-        chunking); the default keeps the pre-existing pool heuristic.
-        Larger chunks amortize per-dispatch IPC for many-point sweeps.
     """
     if not points:
         raise ValueError("no sweep points given")
@@ -214,13 +224,14 @@ def parallel_sweep(
         per_point_faults = list(faults)
     else:
         per_point_faults = [faults] * len(points)
+    task_seeds = [seed + i * seed_stride for i in range(len(points))]
     with _sweep_environment(cache_dir, obs_dir) as obs_out:
         tasks = [
             (
                 {k: v for k, v in cfg.as_dict().items()},
                 list(tracker_names),
                 n_reps,
-                seed + i * seed_stride,
+                task_seeds[i],
                 dict(params),
                 deployment,
                 per_point_faults[i],
@@ -229,44 +240,25 @@ def parallel_sweep(
         ]
         if n_workers is None:
             n_workers = recommended_workers(len(tasks))
-        shared_set = None
-        initializer, initargs = None, ()
-        if share_maps and n_workers > 1:
-            from repro.geometry.shm import SharedFaceMapSet
-            from repro.sim.scenario import replication_scenarios
-
-            shared_set = SharedFaceMapSet()
-            seen_worlds: set = set()
-            for i, (cfg, _params) in enumerate(points):
-                task_seed = seed + i * seed_stride
-                world_id = (id(cfg), task_seed)
-                if world_id in seen_worlds:
-                    continue
-                seen_worlds.add(world_id)
-                for scenario in replication_scenarios(
-                    cfg, n_reps=n_reps, seed=task_seed, deployment=deployment
-                ):
-                    key = scenario.face_map_key()
-                    if key not in shared_set:
-                        # .face_map builds (or cache-loads) here, once, in
-                        # the parent; workers only ever attach
-                        shared_set.publish(key, scenario.face_map)
-            if len(shared_set):
-                initializer, initargs = _pool_init_shared_maps, (shared_set.manifests(),)
-        try:
-            if n_workers == 1:
-                nested = [_run_point(t) for t in tasks]
-            else:
-                ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
-                with ctx.Pool(processes=n_workers, initializer=initializer, initargs=initargs) as pool:
-                    nested = pool.map(_run_point, tasks, chunksize=chunksize)
-        finally:
-            if shared_set is not None:
-                shared_set.close()
+        prewarm_snap = None
+        if n_workers == 1:
+            nested = [_run_point(t) for t in tasks]
+        else:
+            if obs_out is not None:
+                obs_metrics.reset()
+            _prewarm_shared_worlds(
+                [cfg for cfg, _ in points], task_seeds, n_reps=n_reps, deployment=deployment
+            )
+            if obs_out is not None:
+                # the prewarm builds count toward the sweep's cache totals
+                prewarm_snap = obs_metrics.snapshot()
+            ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
+            with ctx.Pool(processes=n_workers) as pool:
+                nested = pool.map(_run_point, tasks)
         records = [rec for group, _ in nested for rec in group]
         if obs_out is not None:
             merged = obs_metrics.MetricsRegistry()
-            for _, snap in nested:
+            for snap in [prewarm_snap, *(snap for _, snap in nested)]:
                 if snap:
                     merged.merge(snap)
             merged.counter("sweep.points").inc(len(tasks))
@@ -277,7 +269,6 @@ def parallel_sweep(
                 "geometry.cache.hits",
                 "geometry.cache.misses",
                 "geometry.cache.disk_hits",
-                "geometry.cache.shm_hits",
                 "geometry.cache.evictions",
             ):
                 merged.counter(name)

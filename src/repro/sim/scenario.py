@@ -92,24 +92,6 @@ class Scenario:
             )
         return self._face_map
 
-    def face_map_key(self) -> str:
-        """Content-addressed cache key of the uncertain face map.
-
-        The same key :func:`~repro.geometry.cache.get_face_map` derives —
-        used to publish prebuilt maps into shared memory so pool workers
-        attach instead of rebuilding (see :mod:`repro.geometry.shm`).
-        """
-        from repro.geometry.cache import face_map_cache_key
-
-        return face_map_cache_key(
-            self.nodes,
-            self.grid,
-            self.uncertainty_c,
-            sensing_range=self.config.sensing_range_m,
-            split_components=self.config.grid.split_components,
-            kind="uncertain",
-        )
-
     @property
     def certain_map(self) -> FaceMap:
         """Bisector-only face map for the certain-sequence baselines."""
@@ -288,8 +270,8 @@ def replication_scenarios(
 
     Replicates its RNG protocol — ``spawn_rngs(seed, 2 * n_reps)`` with the
     even streams driving the scenarios — so a sweep parent can prebuild the
-    face maps its pool tasks will need and publish them into shared memory.
-    Maps are *not* built here; access ``scenario.face_map`` to build.
+    face maps its pool tasks will need before the workers fork.  Maps are
+    *not* built here; access ``scenario.face_map`` to build.
     """
     from repro.rng import spawn_rngs
 

@@ -9,12 +9,14 @@ classification is elementwise per cell, so any divergence is a bug.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.geometry.faces import build_certain_face_map, build_face_map
 from repro.geometry.packing import PackedSignatures
-from repro.geometry.tiling import classify_cells_tiled, default_tile_cells
+from repro.geometry.tiling import classify_cells_tiled, default_tile_cells, owned_segment_names
 
 FIELDS = ("signatures", "centroids", "cell_face", "cell_counts", "adj_indptr", "adj_indices")
 
@@ -89,6 +91,24 @@ class TestClassifyCellsTiled:
             sensing_range=None, chunk_pairs=None, workers=3, tile_cells=97, packed=False,
         )
         assert np.array_equal(serial, par)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs a POSIX /dev/shm")
+class TestOutputBufferLifecycle:
+    @staticmethod
+    def _shm_entries() -> set[str]:
+        return {f for f in os.listdir("/dev/shm") if f.startswith("reprofm")}
+
+    def test_worker_failure_releases_buffer(self, four_nodes, small_grid):
+        before = self._shm_entries()
+        # an unknown signature kind makes every worker's tile raise
+        with pytest.raises(ValueError, match="unknown signature kind"):
+            classify_cells_tiled(
+                small_grid, four_nodes, c=1.5, kind="bogus",
+                sensing_range=None, chunk_pairs=None, workers=2, tile_cells=97, packed=True,
+            )
+        assert self._shm_entries() <= before
+        assert owned_segment_names() == []
 
 
 class TestDefaultTileCells:
