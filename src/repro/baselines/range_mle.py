@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Iterable
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro.core.tracker import TrackEstimate, TrackResult
 from repro.rf.channel import SampleBatch
@@ -51,6 +50,8 @@ class RangeMLETracker:
         self.min_sensors = min_sensors
 
     def _estimate(self, mean_rss: np.ndarray) -> np.ndarray:
+        from scipy.optimize import least_squares
+
         ok = ~np.isnan(mean_rss)
         nodes = self.nodes[ok]
         if ok.sum() == 0:

@@ -21,7 +21,7 @@ natural completion of §6 and is what eliminates similarity ties.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from repro.geometry.faces import FaceMap
 from repro.geometry.primitives import enumerate_pairs, pairwise_distances
@@ -69,9 +69,7 @@ def expected_extended_signatures(
         with np.errstate(divide="ignore"):
             dmu = 10.0 * path_loss_exponent * (np.log10(dj) - np.log10(di))
         if noise_sigma_dbm > 0:
-            vals = norm.cdf((dmu - resolution_dbm) / denom) - norm.cdf(
-                (-dmu - resolution_dbm) / denom
-            )
+            vals = ndtr((dmu - resolution_dbm) / denom) - ndtr((-dmu - resolution_dbm) / denom)
         else:  # noiseless: hard sign outside the deadband
             vals = np.sign(dmu) * (np.abs(dmu) > resolution_dbm)
         if sensing_range is not None:
@@ -80,8 +78,14 @@ def expected_extended_signatures(
             vals = np.where(in_i & ~in_j, 1.0, vals)
             vals = np.where(~in_i & in_j, -1.0, vals)
             vals = np.where(~in_i & ~in_j, 0.0, vals)
-        acc = np.zeros((n_faces, stop - start))
-        np.add.at(acc, cell_face, vals)
+        # per-face sums: bin (face, column) adds its cells' values in cell
+        # order, the same sequence ``np.add.at(acc, cell_face, vals)`` adds
+        width = stop - start
+        acc = np.bincount(
+            (cell_face[:, None] * width + np.arange(width)).ravel(),
+            weights=vals.ravel(),
+            minlength=n_faces * width,
+        ).reshape(n_faces, width)
         out[:, start:stop] = (acc / counts[:, None]).astype(np.float32)
     return out
 

@@ -91,13 +91,41 @@ class HeuristicMatcher:
         falls back to one exhaustive scan — Algorithm 2's
         ``Initialization()``.
         """
+        return self._match(vector, start_face, None)
+
+    def match_many(self, vectors: np.ndarray) -> list[MatchResult]:
+        """Match a ``(T, P)`` trace, row ``b`` identical to the ``b``-th
+        call of a :meth:`match` loop.
+
+        The climb runs round by round as in the loop.  When the trace has
+        an exact GEMM (:meth:`~repro.geometry.faces.FaceMap.gemm_exact`:
+        qualitative signatures, Definition-4 vectors) every exhaustive scan
+        the loop would make — the initial scan and each fallback — reads
+        its row of one ``distances_to_many`` block, which is bit-identical
+        per row to ``distances_to``.  Without one, precomputing a row costs
+        a full scan that most rounds never use, so each fallback scans its
+        own row when it fires, as :meth:`match` does.
+        """
+        vectors = np.asarray(vectors)
+        if not self.face_map.gemm_exact(vectors, soft=self.soft):
+            return [self.match(v) for v in vectors]
+        out: list[MatchResult] = []
+        for start, d2 in self.face_map.distance_blocks(vectors):
+            out.extend(self._match(vectors[b], None, row) for b, row in enumerate(d2, start))
+        return out
+
+    def _match(
+        self, vector: np.ndarray, start_face: "int | None", d2: "np.ndarray | None"
+    ) -> MatchResult:
+        """One round of :meth:`match`; an exhaustive scan reads the
+        precomputed distance row *d2* when given."""
         fm = self.face_map
         record = obs.enabled()
         start = start_face if start_face is not None else self._last_face
         if start is None:
             if record:
                 obs.counter("core.heuristic.init_scans").inc()
-            result = self._exhaustive.match(vector)
+            result = self._scan(vector, d2)
             self._last_face = result.face_id
             return result
         if not (0 <= start < fm.n_faces):
@@ -120,12 +148,12 @@ class HeuristicMatcher:
                 nbrs = np.fromiter(ring, dtype=np.int64)
             if len(nbrs) == 0:
                 break
-            d2 = self._sq_distance_to_faces(vector, nbrs)
+            d2_nbrs = self._sq_distance_to_faces(vector, nbrs)
             visited += len(nbrs)
-            best = int(np.argmin(d2))
-            if d2[best] < current_d2 - 1e-12:
+            best = int(np.argmin(d2_nbrs))
+            if d2_nbrs[best] < current_d2 - 1e-12:
                 current = int(nbrs[best])
-                current_d2 = float(d2[best])
+                current_d2 = float(d2_nbrs[best])
                 steps += 1
             else:
                 break
@@ -138,7 +166,7 @@ class HeuristicMatcher:
         if self.fallback and current_d2 > self.fallback_sq_distance:
             if record:
                 obs.counter("core.heuristic.fallbacks").inc()
-            result = self._exhaustive.match(vector)
+            result = self._scan(vector, d2)
             self._last_face = result.face_id
             return MatchResult(
                 face_ids=result.face_ids,
@@ -154,3 +182,8 @@ class HeuristicMatcher:
             position=fm.centroids[current].copy(),
             visited=visited,
         )
+
+    def _scan(self, vector: np.ndarray, d2: "np.ndarray | None") -> MatchResult:
+        if d2 is None:
+            return self._exhaustive.match(vector)
+        return self._exhaustive.match_row(d2)

@@ -57,14 +57,16 @@ class ExhaustiveMatcher:
     def match(self, vector: np.ndarray, start_face: "int | None" = None) -> MatchResult:
         """Match *vector* against every face (``start_face`` is ignored;
         accepted so exhaustive and heuristic matchers are interchangeable)."""
-        face_ids, d2 = self.face_map.match(vector, soft=self.soft)
-        position = self.face_map.centroids[face_ids].mean(axis=0)
-        return MatchResult(
-            face_ids=face_ids,
-            sq_distance=d2,
-            position=position,
-            visited=self.face_map.n_faces,
-        )
+        return self._result(*self.face_map.match(vector, soft=self.soft))
+
+    def match_row(self, d2: np.ndarray) -> MatchResult:
+        """Match from a precomputed ``(F,)`` distance row.
+
+        Identical to ``match(vector)`` when *d2* is bit-identical to
+        ``face_map.distances_to(vector)``, e.g. a row of
+        :meth:`~repro.geometry.faces.FaceMap.distances_to_many`.
+        """
+        return self._result(*self.face_map.best_faces(d2))
 
     def match_many(self, vectors: np.ndarray) -> list[MatchResult]:
         """Match a whole ``(B, P)`` batch of vectors in one kernel call.
@@ -75,17 +77,17 @@ class ExhaustiveMatcher:
         signature matrix.
         """
         ties, bests = self.face_map.match_many(vectors, soft=self.soft)
-        centroids = self.face_map.centroids
-        n_faces = self.face_map.n_faces
-        return [
-            MatchResult(
-                face_ids=t,
-                sq_distance=float(best),
-                position=centroids[t].mean(axis=0),
-                visited=n_faces,
-            )
-            for t, best in zip(ties, bests)
-        ]
+        return [self._result(t, float(best)) for t, best in zip(ties, bests)]
+
+    def _result(self, face_ids: np.ndarray, sq_distance: float) -> MatchResult:
+        """The result for tie set *face_ids* at *sq_distance*: the mean
+        centroid of the tied faces, every face visited."""
+        return MatchResult(
+            face_ids=face_ids,
+            sq_distance=sq_distance,
+            position=self.face_map.centroids[face_ids].mean(axis=0),
+            visited=self.face_map.n_faces,
+        )
 
     def reset(self) -> None:
         """No state to clear; present for interface parity."""

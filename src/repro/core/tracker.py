@@ -450,20 +450,18 @@ class FTTTracker:
 
         The matcher state persists across rounds, so the heuristic matcher
         starts each search from the previous face (Algorithm 2's
-        consecutive-tracking speedup).  The exhaustive matcher has no such
-        state, so its whole trace is localized in two batched kernel calls
-        (Algorithm-1 vectors, then one GEMM match) — bit-identical to the
-        per-round loop, an order of magnitude faster.
+        consecutive-tracking speedup).  Without a degradation policy a
+        round depends on earlier rounds only through that matcher state,
+        so the whole trace goes through two batched calls: Algorithm-1
+        vectors, then the matcher's ``match_many`` (one GEMM for the
+        exhaustive matcher and for the heuristic matcher's scans) —
+        bit-identical to the per-round loop.
         """
         batches = list(batches)
         record = obs.enabled()
-        # degradation is sequential state (flip EWMAs, previous face), so
-        # the trace-at-a-time kernel path only serves the stateless case
-        if (
-            isinstance(self.matcher, ExhaustiveMatcher)
-            and len(batches) > 1
-            and self.degradation is None
-        ):
+        # degradation is sequential state (flip EWMAs, quorum holds), so
+        # the trace-at-a-time path only serves the stateless case
+        if self.degradation is None and len(batches) > 1:
             stacked = self._stack_rss(batches)
             if stacked is not None:
                 vectors = self.build_vectors(stacked)
@@ -481,6 +479,7 @@ class FTTTracker:
                     if record:
                         self._record_round(est, int(np.isnan(vectors[b]).sum()))
                     result.append(est, batch.mean_position)
+                self._prev_estimate = est
                 return result
         result = TrackResult()
         for batch in batches:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -27,6 +28,12 @@ __all__ = ["Face", "FaceMap", "build_face_map", "build_certain_face_map"]
 #: Bound on the float32 temporaries one `distances_to_many` GEMM block may
 #: allocate; the default ``chunk_rows`` keeps each block under this.
 _GEMM_TEMP_BYTES = 256 * 1024 * 1024
+
+#: Bound on the float32 ``(rows, P)`` difference block one `distances_to`
+#: step allocates: small enough to stay cache-resident, so a single-vector
+#: scan streams the signature matrix once instead of writing and re-reading
+#: an ``(F, P)`` temporary.
+_SCAN_BLOCK_BYTES = 256 * 1024
 
 
 def _resolve_build_workers(workers: "int | None") -> int:
@@ -267,16 +274,26 @@ class FaceMap:
 
         NaN components of *vector* are the ``*`` fault values of Eq. 7 and
         contribute zero difference.
+
+        The faces are scanned in row blocks of ``_SCAN_BLOCK_BYTES``.  Each
+        face's distance is the same einsum reduction over its own ``P``
+        differences whatever block it lands in, so the block size cannot
+        change an output bit.
         """
         v = np.asarray(vector, dtype=np.float32)
         if v.shape != (self.n_pairs,):
             raise ValueError(f"vector has shape {v.shape}, expected ({self.n_pairs},)")
         sigs = self.signature_matrix(soft=soft)
-        diff = sigs - v  # one (F, P) temporary; NaN columns zeroed in place below
         mask = np.isnan(v)
-        if mask.any():
-            diff[:, mask] = 0.0
-        return np.einsum("fp,fp->f", diff, diff)
+        masked = bool(mask.any())
+        rows = max(1, _SCAN_BLOCK_BYTES // (4 * self.n_pairs))
+        out = np.empty(self.n_faces, dtype=np.result_type(sigs, v))
+        for start in range(0, self.n_faces, rows):
+            diff = sigs[start : start + rows] - v
+            if masked:
+                diff[:, mask] = 0.0
+            out[start : start + rows] = np.einsum("fp,fp->f", diff, diff)
+        return out
 
     def _qual_sq(self) -> tuple[np.ndarray, np.ndarray]:
         """Cached ``sum_p s^2`` per face and ``(s^2)^T`` for the GEMM expansion."""
@@ -313,35 +330,57 @@ class FaceMap:
         fractional components (extended vectors, soft signatures) fall
         back to the per-row path to preserve bit-identity.
 
-        The batch is processed in blocks of ``chunk_rows`` traces so peak
-        temporary allocation stays bounded however large B grows; because
-        both the GEMM expansion and the per-row path are exact per row,
-        the block size cannot change a single output bit.
+        The batch is processed in blocks of ``chunk_rows`` traces (see
+        :meth:`distance_blocks`) so peak temporary allocation stays bounded
+        however large B grows; because both the GEMM expansion and the
+        per-row path are exact per row, the block size cannot change a
+        single output bit.
         """
+        V = self._as_batch(vectors)
+        if len(V) <= self._resolve_chunk_rows(chunk_rows):
+            return self._distances_block(V, soft)
+        out = np.empty((len(V), self.n_faces), dtype=np.float32)
+        for start, d2 in self.distance_blocks(V, soft=soft, chunk_rows=chunk_rows):
+            out[start : start + len(d2)] = d2
+        return out
+
+    def distance_blocks(
+        self, vectors: np.ndarray, *, soft: bool = False, chunk_rows: int | None = None
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(start, d2)`` row blocks of :meth:`distances_to_many`.
+
+        ``d2`` holds the distances of rows ``start : start + len(d2)``;
+        only one ``(chunk_rows, F)`` block is live at a time.
+        """
+        V = self._as_batch(vectors)
+        step = self._resolve_chunk_rows(chunk_rows)
+        for start in range(0, len(V), step):
+            yield start, self._distances_block(V[start : start + step], soft)
+
+    def gemm_exact(self, vectors: np.ndarray, *, soft: bool = False) -> bool:
+        """True when :meth:`distances_to_many` computes *vectors* by the
+        exact GEMM expansion rather than one :meth:`distances_to` per row:
+        qualitative signatures and small-integer components (NaN = ``*``)."""
+        if soft:
+            return False
+        V = np.asarray(vectors, dtype=np.float32)
+        v0 = np.where(np.isnan(V), np.float32(0.0), V)
+        return bool(np.all(v0 == np.rint(v0))) and bool(np.all(np.abs(v0) <= 8.0))
+
+    def _as_batch(self, vectors: np.ndarray) -> np.ndarray:
         V = np.asarray(vectors, dtype=np.float32)
         if V.ndim != 2 or V.shape[1] != self.n_pairs:
             raise ValueError(f"vectors have shape {V.shape}, expected (B, {self.n_pairs})")
-        step = self._resolve_chunk_rows(chunk_rows)
-        if len(V) > step:
-            out = np.empty((len(V), self.n_faces), dtype=np.float32)
-            for start in range(0, len(V), step):
-                out[start : start + step] = self._distances_block(V[start : start + step], soft)
-            return out
-        return self._distances_block(V, soft)
+        return V
 
     def _distances_block(self, V: np.ndarray, soft: bool) -> np.ndarray:
-        mask = np.isnan(V)
-        v0 = np.where(mask, np.float32(0.0), V)
-        exact = (
-            not soft
-            and bool(np.all(v0 == np.rint(v0)))
-            and bool(np.all(np.abs(v0) <= 8.0))
-        )
-        if not exact:
+        if not self.gemm_exact(V, soft=soft):
             out = np.empty((len(V), self.n_faces), dtype=np.float32)
             for b in range(len(V)):
                 out[b] = self.distances_to(V[b], soft=soft)
             return out
+        mask = np.isnan(V)
+        v0 = np.where(mask, np.float32(0.0), V)
         sigs = self._sig_f32()
         sq_rows, sq_t = self._qual_sq()
         v_sq = np.einsum("bp,bp->b", v0, v0)
@@ -371,14 +410,14 @@ class FaceMap:
         eps32 = float(np.finfo(np.float32).eps)
         return max(1e-6, best * eps32 * math.sqrt(self.n_pairs))
 
-    def match(self, vector: np.ndarray, *, soft: bool = False) -> tuple[np.ndarray, float]:
-        """Exhaustive maximum-likelihood matching (paper §4.4-1).
+    def best_faces(self, d2: np.ndarray) -> tuple[np.ndarray, float]:
+        """``(face_ids, best)`` of one ``(F,)`` distance row: every face
+        within :meth:`tie_tolerance` of the minimum.
 
-        Returns ``(face_ids, sq_distance)`` — all faces tying at the minimum
-        squared vector distance.  Similarity of Definition 7 is
-        ``1/sqrt(sq_distance)`` (infinite on exact match).
+        The one tie rule of :meth:`match`, :meth:`match_many` and any caller
+        resolving a precomputed row, and the one place the
+        ``geometry.match.*`` counters are recorded.
         """
-        d2 = self.distances_to(vector, soft=soft)
         best = float(d2.min())
         ties = np.flatnonzero(d2 <= best + self.tie_tolerance(best))
         if obs.enabled():
@@ -386,6 +425,15 @@ class FaceMap:
             obs.histogram("geometry.match.ties").observe(len(ties))
             obs.gauge("geometry.match.candidate_faces").set(self.n_faces)
         return ties, best
+
+    def match(self, vector: np.ndarray, *, soft: bool = False) -> tuple[np.ndarray, float]:
+        """Exhaustive maximum-likelihood matching (paper §4.4-1).
+
+        Returns ``(face_ids, sq_distance)`` — all faces tying at the minimum
+        squared vector distance.  Similarity of Definition 7 is
+        ``1/sqrt(sq_distance)`` (infinite on exact match).
+        """
+        return self.best_faces(self.distances_to(vector, soft=soft))
 
     def match_many(
         self, vectors: np.ndarray, *, soft: bool = False, chunk_rows: int | None = None
@@ -397,25 +445,15 @@ class FaceMap:
         :meth:`distances_to_many` for why).  Processed in ``chunk_rows``
         blocks so only one (chunk, F) distance block is live at a time.
         """
-        V = np.asarray(vectors, dtype=np.float32)
-        if V.ndim != 2 or V.shape[1] != self.n_pairs:
-            raise ValueError(f"vectors have shape {V.shape}, expected (B, {self.n_pairs})")
-        step = self._resolve_chunk_rows(chunk_rows)
+        V = self._as_batch(vectors)
         ties: list[np.ndarray] = []
         bests = np.empty(len(V), dtype=float)
-        for start in range(0, len(V), step):
-            d2 = self.distances_to_many(V[start : start + step], soft=soft, chunk_rows=step)
+        for start, d2 in self.distance_blocks(V, soft=soft, chunk_rows=chunk_rows):
             for b, row in enumerate(d2, start=start):
-                best = float(row.min())
-                ties.append(np.flatnonzero(row <= best + self.tie_tolerance(best)))
-                bests[b] = best
+                t, bests[b] = self.best_faces(row)
+                ties.append(t)
         if obs.enabled():
-            obs.counter("geometry.match.rounds").inc(len(ties))
             obs.counter("geometry.match.batched_rounds").inc(len(ties))
-            h = obs.histogram("geometry.match.ties")
-            for t in ties:
-                h.observe(len(t))
-            obs.gauge("geometry.match.candidate_faces").set(self.n_faces)
         return ties, bests
 
     def match_positions_many(self, vectors: np.ndarray, *, soft: bool = False) -> np.ndarray:

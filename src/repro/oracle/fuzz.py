@@ -8,7 +8,7 @@ campaign is the same bytes no matter how many workers ran it or in which
 order — the property the workers-equality test pins with a digest.
 
 ``run_spec`` builds the world, runs the production kernels and the oracle
-side by side, and reports every divergence across eight check families:
+side by side, and reports every divergence across nine check families:
 
 * ``face_signatures`` — built face map vs Apollonius circle membership;
 * ``packed_signatures`` — 2-bit signature packing round trip and the
@@ -20,6 +20,9 @@ side by side, and reports every divergence across eight check families:
   (bitwise in basic mode, structural in extended mode);
 * ``match_winner`` — production tie set vs the naive full scan;
 * ``batched_*`` — every batched kernel vs its own per-row path (bitwise);
+* ``heuristic_climb`` — Algorithm 2 invariants against the oracle's
+  exhaustive optimum, and its trace-at-a-time ``match_many`` vs the
+  per-round ``match`` loop (bitwise);
 * ``tracker_anchor`` — the production round loop vs the oracle tracker.
 
 On divergence the harness greedily *shrinks* the spec (drop faults, turn
@@ -40,6 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.heuristic import HeuristicMatcher
 from repro.core.tracker import DegradationPolicy, FTTTracker
 from repro.core.vectors import (
     extended_sampling_vector,
@@ -465,6 +469,109 @@ def _check_batched(
     return n_checks
 
 
+#: Fallback gates the ``heuristic_climb`` family runs Algorithm 2 with:
+#: the basic tracker's default, and 0 (fall back on every inexact round).
+_CLIMB_GATES = (4.0, 0.0)
+
+
+def _two_hop_ring(face_map, face: int) -> set:
+    ring = set(face_map.neighbors(face).tolist())
+    for nb in list(ring):
+        ring.update(face_map.neighbors(nb).tolist())
+    ring.discard(face)
+    return ring
+
+
+def _result_key(res) -> tuple:
+    return (
+        tuple(int(f) for f in res.face_ids),
+        float(res.sq_distance).hex(),
+        tuple(float(x).hex() for x in res.position),
+        int(res.visited),
+    )
+
+
+def _check_heuristic(
+    spec: FuzzSpec, world: dict, vectors: list, divergences: list
+) -> int:
+    """Algorithm 2 (the hill climb behind ``fttt``) against the oracle.
+
+    Per round, with ``opt`` the oracle's exhaustive optimum:
+
+    * the returned d² is never below ``opt`` (float32 slack);
+    * when the initial scan or the fallback fired, it equals ``opt``;
+    * otherwise the result is the plain climb's, and its face is a
+      2-hop local minimum of the oracle distances;
+    * ``match_many`` over the trace equals the ``match`` loop bit for bit.
+
+    Whether the fallback fired is decided independently: a fallback-free
+    twin climbs from the same start face and the gate is applied to it.
+    """
+    face_map = world["face_map"]
+    signatures = face_map.signatures.astype(float)
+    n_checks = 0
+    for gate in _CLIMB_GATES:
+        matcher = HeuristicMatcher(face_map, fallback_sq_distance=gate)
+        climber = HeuristicMatcher(face_map, fallback=False)
+        results = []
+        n_checks += 1
+        for r, v in enumerate(vectors):
+            start = matcher.last_face
+            res = matcher.match(v)
+            results.append(res)
+            oracle_d = [
+                oracle_masked_sq_distance(v, signatures[f]) for f in range(face_map.n_faces)
+            ]
+            opt = min(oracle_d)
+            slack = 0.0 if spec.mode == "basic" else _extended_slack(opt)
+            d2 = float(res.sq_distance)
+            climbed = None if start is None else climber.match(v, start_face=start)
+            bad = None
+            if d2 < opt - slack:
+                bad = "below_optimum"
+            elif climbed is None or climbed.sq_distance > gate:
+                if abs(d2 - opt) > slack:
+                    bad = "scan_not_optimal"
+            elif _result_key(res) != _result_key(climbed):
+                bad = "climb_mismatch"
+            else:
+                face = int(res.face_ids[0])
+                if any(oracle_d[f] < oracle_d[face] - slack for f in _two_hop_ring(face_map, face)):
+                    bad = "not_local_minimum"
+            if bad is not None:
+                divergences.append(
+                    {
+                        "check": "heuristic_climb",
+                        "invariant": bad,
+                        "gate": gate,
+                        "round": r,
+                        "start_face": start,
+                        "face_ids": _jsonable(res.face_ids),
+                        "sq_distance": d2,
+                        "oracle_best": opt,
+                    }
+                )
+                return n_checks
+        batched = HeuristicMatcher(face_map, fallback_sq_distance=gate).match_many(
+            np.stack(vectors)
+        )
+        n_checks += 1
+        for r, (got, want) in enumerate(zip(batched, results)):
+            if _result_key(got) != _result_key(want):
+                divergences.append(
+                    {
+                        "check": "heuristic_climb",
+                        "invariant": "match_many",
+                        "gate": gate,
+                        "round": r,
+                        "batched": _jsonable(_result_key(got)),
+                        "per_round": _jsonable(_result_key(want)),
+                    }
+                )
+                return n_checks
+    return n_checks
+
+
 def _check_scaleout(spec: FuzzSpec, world: dict, divergences: list) -> int:
     """Scale-out layer vs the plain build — always a bitwise contract.
 
@@ -620,6 +727,7 @@ def run_spec(spec: FuzzSpec) -> dict:
     n_checks += _check_scaleout(spec, world, divergences)
     round_checks, vectors = _check_rounds(spec, world, divergences)
     n_checks += round_checks
+    n_checks += _check_heuristic(spec, world, vectors, divergences)
     if spec.n_rounds > 1:
         n_checks += _check_batched(spec, world, vectors, divergences)
     n_checks += _check_tracker(spec, world, divergences)

@@ -63,6 +63,42 @@ class TestExpectedSignatures:
         )
         assert np.allclose(a, b)
 
+    @pytest.mark.parametrize("sensing_range", [None, 45.0])
+    def test_identical_to_cdf_add_at_formula(self, four_nodes, small_grid, sensing_range):
+        """``ndtr`` + one ``np.bincount`` reproduce the ``norm.cdf`` +
+        ``np.add.at`` reduction bit for bit (same values, same sequential
+        per-face summation order)."""
+        from scipy.stats import norm
+
+        from repro.geometry.faces import build_face_map
+        from repro.geometry.primitives import enumerate_pairs, pairwise_distances
+
+        fm = build_face_map(four_nodes, small_grid, 1.5, sensing_range=sensing_range)
+        beta, sigma, eps = 3.3, 5.0, 0.7
+        dist = pairwise_distances(small_grid.cell_centers, four_nodes)
+        i, j = enumerate_pairs(len(four_nodes))
+        di, dj = dist[:, i], dist[:, j]
+        dmu = 10.0 * beta * (np.log10(dj) - np.log10(di))
+        denom = np.sqrt(2.0) * sigma
+        vals = norm.cdf((dmu - eps) / denom) - norm.cdf((-dmu - eps) / denom)
+        if sensing_range is not None:
+            in_i, in_j = di <= sensing_range, dj <= sensing_range
+            vals = np.where(in_i & ~in_j, 1.0, vals)
+            vals = np.where(~in_i & in_j, -1.0, vals)
+            vals = np.where(~in_i & ~in_j, 0.0, vals)
+        acc = np.zeros((fm.n_faces, len(i)))
+        np.add.at(acc, fm.cell_face, vals)
+        want = (acc / fm.cell_counts[:, None]).astype(np.float32)
+        got = expected_extended_signatures(
+            fm,
+            path_loss_exponent=beta,
+            noise_sigma_dbm=sigma,
+            resolution_dbm=eps,
+            sensing_range=sensing_range,
+            chunk_pairs=4,
+        )
+        assert np.array_equal(got, want)
+
     def test_validation(self, face_map):
         with pytest.raises(ValueError):
             expected_extended_signatures(face_map, path_loss_exponent=0.0, noise_sigma_dbm=6.0)

@@ -112,3 +112,38 @@ def test_vector_kernel_bug_is_caught(monkeypatch, tmp_path):
     summary = run_fuzz(N_SCENARIOS, artifact_dir=tmp_path, **CAMPAIGN)
     assert summary["n_divergent"] > 0
     assert summary["first_divergence"]["check"] == "sampling_vector"
+
+
+def test_climb_distance_bug_is_caught(monkeypatch, tmp_path):
+    """Algorithm 2's climb scoring faces without their last pair must trip
+    the ``heuristic_climb`` invariants (no other family runs the climb)."""
+    from repro.core.heuristic import HeuristicMatcher
+
+    original = HeuristicMatcher._sq_distance_to_faces
+
+    def short(self, vector, face_ids):
+        v = np.asarray(vector, dtype=float).copy()
+        v[-1] = np.nan
+        return original(self, v, face_ids)
+
+    monkeypatch.setattr(HeuristicMatcher, "_sq_distance_to_faces", short)
+    summary = run_fuzz(N_SCENARIOS, artifact_dir=tmp_path, **CAMPAIGN)
+    assert summary["n_divergent"] > 0
+    assert summary["first_divergence"]["check"] == "heuristic_climb"
+
+
+def test_trace_fallback_tie_bug_is_caught(monkeypatch, tmp_path):
+    """A fallback row resolved from the trace GEMM that drops ties must
+    differ from the per-round ``match`` loop."""
+    from repro.core.matching import ExhaustiveMatcher
+
+    original = ExhaustiveMatcher.match_row
+
+    def first_tie_only(self, d2):
+        res = original(self, d2)
+        return self._result(res.face_ids[:1], res.sq_distance)
+
+    monkeypatch.setattr(ExhaustiveMatcher, "match_row", first_tie_only)
+    summary = run_fuzz(N_SCENARIOS, artifact_dir=tmp_path, **CAMPAIGN)
+    assert summary["n_divergent"] > 0
+    assert summary["first_divergence"]["check"] == "heuristic_climb"

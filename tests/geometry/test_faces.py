@@ -236,3 +236,64 @@ class TestTieTolerance:
         # qualitative distances are exact integers; a widened threshold
         # below 1 can never merge distinct ones
         assert face_map.tie_tolerance(float(4 * face_map.n_pairs)) < 1.0
+
+
+class TestBlockedScan:
+    """``distances_to`` scans the faces in ``_SCAN_BLOCK_BYTES`` row blocks.
+
+    Each face keeps its own einsum reduction over ``P`` differences, so
+    every block size gives the bits of one ``(F, P)`` pass — including a
+    last block that is not full and a 1-row tail block.
+    """
+
+    @pytest.fixture(scope="class")
+    def soft_map(self):
+        from repro.core.extended import attach_soft_signatures
+
+        nodes = np.random.default_rng(8).uniform(5.0, 95.0, (8, 2))
+        fm = build_face_map(nodes, Grid.square(100.0, 2.5), 1.4, sensing_range=60.0)
+        return attach_soft_signatures(
+            fm, path_loss_exponent=3.0, noise_sigma_dbm=4.0, resolution_dbm=0.5
+        )
+
+    @staticmethod
+    def _single_block(fm, v, soft):
+        v = np.asarray(v, dtype=np.float32)
+        diff = fm.signature_matrix(soft=soft) - v
+        diff[:, np.isnan(v)] = 0.0
+        return np.einsum("fp,fp->f", diff, diff)
+
+    @staticmethod
+    def _vectors(fm, soft):
+        rng = np.random.default_rng(21)
+        shape = (12, fm.n_pairs)
+        v = rng.uniform(-1.0, 1.0, shape) if soft else rng.integers(-1, 2, shape).astype(float)
+        v[rng.random(shape) < 0.2] = np.nan
+        v[0] = np.nan  # the all-* vector
+        return v
+
+    @pytest.mark.parametrize("soft", [False, True])
+    def test_every_block_size_matches_one_pass(self, soft_map, monkeypatch, soft):
+        from repro.geometry import faces
+
+        fm = soft_map
+        n = fm.n_faces
+        tail_one = [r for r in range(2, n) if n % r == 1]
+        # F - 1 rows leaves a 1-row tail; the rest leave other partial tails
+        sizes = sorted({1, 3, 64, n - 1, n + 5, *tail_one[:2]})
+        assert any(n % r == 1 for r in sizes)
+        assert any(r < n and n % r not in (0, 1) for r in sizes)
+        vectors = self._vectors(fm, soft)
+        want = [self._single_block(fm, v, soft) for v in vectors]
+        for rows in sizes:
+            monkeypatch.setattr(faces, "_SCAN_BLOCK_BYTES", rows * 4 * fm.n_pairs)
+            for v, ref in zip(vectors, want):
+                got = fm.distances_to(v, soft=soft)
+                assert got.dtype == ref.dtype
+                assert np.array_equal(got, ref), rows
+
+    def test_default_block_size(self, soft_map):
+        fm = soft_map
+        for soft in (False, True):
+            for v in self._vectors(fm, soft):
+                assert np.array_equal(fm.distances_to(v, soft=soft), self._single_block(fm, v, soft))
