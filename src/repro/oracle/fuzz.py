@@ -8,13 +8,9 @@ campaign is the same bytes no matter how many workers ran it or in which
 order — the property the workers-equality test pins with a digest.
 
 ``run_spec`` builds the world, runs the production kernels and the oracle
-side by side, and reports every divergence across nine check families:
+side by side, and reports every divergence across seven check families:
 
 * ``face_signatures`` — built face map vs Apollonius circle membership;
-* ``packed_signatures`` — 2-bit signature packing round trip and the
-  packed-backed float32 matching matrix vs dense (bitwise);
-* ``tiled_build`` — the tiled/packed builder vs the one-pass build
-  (every map array, bitwise);
 * ``sampling_vector`` — vectorized Algorithm 1 vs per-pair loops (bitwise);
 * ``masked_distances`` — float32 Eq. 7 distances vs scalar float64
   (bitwise in basic mode, structural in extended mode);
@@ -54,7 +50,6 @@ from repro.core.vectors import (
 from repro.geometry.apollonius import uncertainty_constant
 from repro.geometry.faces import build_certain_face_map, build_face_map
 from repro.geometry.grid import Grid
-from repro.geometry.packing import PackedSignatures
 from repro.oracle.geometry import verify_face_map
 from repro.oracle.matching import (
     oracle_masked_sq_distance,
@@ -572,70 +567,6 @@ def _check_heuristic(
     return n_checks
 
 
-def _check_scaleout(spec: FuzzSpec, world: dict, divergences: list) -> int:
-    """Scale-out layer vs the plain build — always a bitwise contract.
-
-    Covers the 2-bit signature packing (round trip and the packed-backed
-    float32 matching matrix) and the tiled builder (``tile_cells`` +
-    ``packed=True`` must reproduce every map array bit for bit).
-    """
-    face_map = world["face_map"]
-    packed = PackedSignatures.from_dense(face_map.signatures)
-    n_checks = 1
-    if not np.array_equal(packed.dense(), face_map.signatures):
-        divergences.append(
-            {
-                "check": "packed_signatures",
-                "stage": "round_trip",
-                "dense": _jsonable(face_map.signatures),
-                "unpacked": _jsonable(packed.dense()),
-            }
-        )
-        return n_checks
-    packed_map = face_map.replace(signatures=None, packed=packed)
-    n_checks += 1
-    if not np.array_equal(packed_map._sig_f32(), face_map._sig_f32()):
-        divergences.append(
-            {
-                "check": "packed_signatures",
-                "stage": "float32_matrix",
-            }
-        )
-        return n_checks
-    grid = face_map.grid
-    tile = max(1, grid.n_cells // 3)  # force a multi-tile pass
-    if spec.certain:
-        rebuilt = build_certain_face_map(
-            face_map.nodes,
-            grid,
-            split_components=spec.split_components,
-            tile_cells=tile,
-            packed=True,
-        )
-    else:
-        rebuilt = build_face_map(
-            face_map.nodes,
-            grid,
-            spec.c,
-            sensing_range=spec.sensing_range,
-            split_components=spec.split_components,
-            tile_cells=tile,
-            packed=True,
-        )
-    n_checks += 1
-    for name in ("signatures", "centroids", "cell_face", "cell_counts", "adj_indptr", "adj_indices"):
-        if not np.array_equal(getattr(rebuilt, name), getattr(face_map, name)):
-            divergences.append(
-                {
-                    "check": "tiled_build",
-                    "field": name,
-                    "tile_cells": tile,
-                }
-            )
-            break
-    return n_checks
-
-
 def _batches(world: dict, spec: FuzzSpec) -> list[SampleBatch]:
     return [
         SampleBatch(
@@ -724,7 +655,6 @@ def run_spec(spec: FuzzSpec) -> dict:
     world = _build_world(spec)
     divergences: list[dict] = []
     n_checks = _check_geometry(spec, world, divergences)
-    n_checks += _check_scaleout(spec, world, divergences)
     round_checks, vectors = _check_rounds(spec, world, divergences)
     n_checks += round_checks
     n_checks += _check_heuristic(spec, world, vectors, divergences)

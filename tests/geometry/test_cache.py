@@ -124,7 +124,6 @@ class TestMemoryTier:
             "disk_hits": 0,
             "shm_hits": 0,
             "evictions": 2,
-            "migrations": 0,
         }
 
     def test_zero_maxsize_disables_memory_tier(self, four_nodes, small_grid):
@@ -166,15 +165,57 @@ class TestDiskTier:
         assert np.array_equal(ties_a, ties_b)
         assert d2_a == d2_b
 
-    def test_corrupt_file_treated_as_miss(self, four_nodes, small_grid, tmp_path):
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda data: b"not an npz",  # foreign file
+            lambda data: data[: len(data) // 2],  # half-written
+            lambda data: b"",  # empty
+        ],
+        ids=["garbage", "truncated", "empty"],
+    )
+    def test_corrupt_file_treated_as_miss(self, four_nodes, small_grid, tmp_path, damage):
         cache = FaceMapCache(maxsize=0, disk_dir=tmp_path)
         cache.get_or_build(four_nodes, small_grid, 1.5)
         for path in tmp_path.glob("facemap-*.npz"):
-            path.write_bytes(b"not an npz")
+            path.write_bytes(damage(path.read_bytes()))
         rebuilt = cache.get_or_build(four_nodes, small_grid, 1.5)
         direct = build_face_map(four_nodes, small_grid, 1.5)
         _assert_identical(rebuilt, direct)
         assert cache.stats()["misses"] == 2
+
+    @pytest.mark.parametrize("layout", ["v1-dense", "v2-packed"])
+    def test_other_layouts_rebuilt_and_overwritten(
+        self, four_nodes, small_grid, face_map, tmp_path, layout
+    ):
+        # hand-written entries in the two layouts earlier releases wrote:
+        # dense signatures without a format marker, and format 2 with the
+        # signatures 2-bit packed (the packed bytes need not be decodable)
+        arrays = {
+            name: getattr(face_map, name)
+            for name in ("nodes", "centroids", "cell_face", "cell_counts", "adj_indptr", "adj_indices")
+        }
+        arrays["grid_spec"] = np.array([small_grid.width, small_grid.height, small_grid.cell_size])
+        arrays["c"] = np.array([face_map.c])
+        if layout == "v1-dense":
+            arrays["signatures"] = face_map.signatures
+        else:
+            arrays["format"] = np.array([2], dtype=np.int64)
+            arrays["signatures_packed"] = np.zeros((face_map.n_faces, 2), dtype=np.uint8)
+            arrays["n_pairs"] = np.array([face_map.n_pairs], dtype=np.int64)
+        path = tmp_path / f"facemap-{face_map_cache_key(four_nodes, small_grid, 1.5)}.npz"
+        np.savez_compressed(path, **arrays)
+
+        cache = FaceMapCache(maxsize=0, disk_dir=tmp_path)
+        _assert_identical(cache.get_or_build(four_nodes, small_grid, 1.5), face_map)
+        assert (cache.stats()["misses"], cache.stats()["disk_hits"]) == (1, 0)
+        # overwritten in the current format: a cold reader now hits it
+        with np.load(path) as data:
+            assert "signatures_packed" not in data.files
+            assert np.array_equal(data["signatures"], face_map.signatures)
+        reader = FaceMapCache(maxsize=0, disk_dir=tmp_path)
+        _assert_identical(reader.get_or_build(four_nodes, small_grid, 1.5), face_map)
+        assert (reader.stats()["misses"], reader.stats()["disk_hits"]) == (0, 1)
 
 
 class TestGlobalCache:

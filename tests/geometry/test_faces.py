@@ -297,3 +297,34 @@ class TestBlockedScan:
         for soft in (False, True):
             for v in self._vectors(fm, soft):
                 assert np.array_equal(fm.distances_to(v, soft=soft), self._single_block(fm, v, soft))
+
+
+class TestChunkedMatching:
+    """distances_to_many / match_many chunk over the trace axis."""
+
+    def _vectors(self, face_map, rng, n):
+        idx = rng.integers(0, face_map.n_faces, size=n)
+        return face_map.signatures[idx].astype(np.float32)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 7, 10_000])
+    def test_distances_to_many_invariant(self, face_map, rng, chunk_rows):
+        V = self._vectors(face_map, rng, 23)
+        base = face_map.distances_to_many(V)
+        chunked = face_map.distances_to_many(V, chunk_rows=chunk_rows)
+        assert np.array_equal(base, chunked, equal_nan=True)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 5, 10_000])
+    def test_match_many_invariant(self, face_map, rng, chunk_rows):
+        V = self._vectors(face_map, rng, 23)
+        base_ties, base_best = face_map.match_many(V)
+        ties, best = face_map.match_many(V, chunk_rows=chunk_rows)
+        assert np.array_equal(base_best, best)
+        assert len(base_ties) == len(ties)
+        for a, b in zip(base_ties, ties):
+            assert np.array_equal(a, b)
+
+    def test_default_chunk_is_bounded(self, face_map):
+        # the default must keep the GEMM temp under the documented cap
+        chunk = face_map._resolve_chunk_rows(None)
+        assert chunk * face_map.n_faces * 4 <= 256 * 1024 * 1024
+        assert chunk >= 1

@@ -12,7 +12,11 @@ import numpy as np
 import pytest
 
 from repro.config import GridConfig, SimulationConfig
-from repro.geometry.cache import configure_face_map_cache, default_face_map_cache
+from repro.geometry.cache import (
+    configure_face_map_cache,
+    default_face_map_cache,
+    face_map_cache_enabled,
+)
 from repro.sim.io import records_to_csv
 from repro.sim.parallel import parallel_sweep
 
@@ -74,6 +78,12 @@ class TestCacheEquivalence:
         # a second run over a warm store still agrees exactly
         rerun = _run(n_workers=1, cache_dir=store)
         _assert_records_equal(plain, rerun)
+
+    def test_cache_dir_keeps_a_disabled_cache_disabled(self, tmp_path):
+        configure_face_map_cache(enabled=False)
+        parallel_sweep(_points(), ["fttt"], n_reps=1, seed=5, n_workers=1, cache_dir=tmp_path)
+        assert not list(tmp_path.glob("facemap-*.npz"))
+        assert not face_map_cache_enabled()
 
     def test_pool_workers_with_disk_cache_match_inline(self, tmp_path):
         inline = _run(n_workers=1)
