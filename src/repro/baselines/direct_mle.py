@@ -16,11 +16,11 @@ import numpy as np
 
 from repro.baselines.sequences import sign_vector_from_rss, sign_vectors_from_rss
 from repro.core.matching import ExhaustiveMatcher
-from repro.core.tracker import TrackEstimate, TrackResult
+from repro.core.tracker import TrackEstimate, TrackResult, stack_trace
 from repro.geometry.faces import FaceMap
 from repro.geometry.primitives import enumerate_pairs
 from repro.obs import metrics as obs
-from repro.rf.channel import SampleBatch
+from repro.rf.channel import SampleBatch, n_reporting
 
 __all__ = ["DirectMLETracker"]
 
@@ -55,18 +55,10 @@ class DirectMLETracker:
                 f"rss has {rss.shape[1]} sensors but the face map expects "
                 f"{self.face_map.n_nodes}"
             )
-        vector = self.build_vector(rss)
-        match = self._matcher.match(vector)
+        match = self._matcher.match(self.build_vector(rss))
         if obs.enabled():
             obs.counter("baselines.direct_mle.rounds").inc()
-        return TrackEstimate(
-            t=t,
-            position=match.position,
-            face_ids=match.face_ids,
-            sq_distance=match.sq_distance,
-            n_reporting=int((~np.isnan(rss).all(axis=0)).sum()),
-            visited_faces=match.visited,
-        )
+        return TrackEstimate.from_match(t, match, n_reporting(rss))
 
     def localize_batch(self, batch: SampleBatch, t: "float | None" = None) -> TrackEstimate:
         t0 = float(batch.times[0]) if t is None else t
@@ -76,34 +68,19 @@ class DirectMLETracker:
         """Localize the whole trace in one batched kernel call.
 
         Rounds are matched independently (that is the point of this
-        baseline), so the per-round loop collapses into one batched sign
-        -vector build plus one GEMM match — bit-identical to looping.
+        baseline), so the trace is one batched sign-vector build plus one
+        GEMM match — bit-identical to a :meth:`localize` loop.
         """
         batches = list(batches)
-        stack = [np.atleast_2d(np.asarray(b.rss, dtype=float)) for b in batches]
-        if len(batches) > 1 and all(
-            s.shape == stack[0].shape and s.shape[1] == self.face_map.n_nodes for s in stack
-        ):
-            rss_stack = np.stack(stack)
-            vectors = sign_vectors_from_rss(rss_stack, self._pairs, reduce=self.reduce)
-            matches = self._matcher.match_many(vectors)
-            if obs.enabled():
-                obs.counter("baselines.direct_mle.rounds").inc(len(batches))
-            result = TrackResult()
-            for batch, rss, match in zip(batches, rss_stack, matches):
-                est = TrackEstimate(
-                    t=float(batch.times[0]),
-                    position=match.position,
-                    face_ids=match.face_ids,
-                    sq_distance=match.sq_distance,
-                    n_reporting=int((~np.isnan(rss).all(axis=0)).sum()),
-                    visited_faces=match.visited,
-                )
-                result.append(est, batch.mean_position)
-            return result
+        rss = stack_trace(batches, self.face_map.n_nodes)
+        vectors = sign_vectors_from_rss(rss, self._pairs, reduce=self.reduce)
+        matches = self._matcher.match_many(vectors)
+        if obs.enabled():
+            obs.counter("baselines.direct_mle.rounds").inc(len(batches))
         result = TrackResult()
-        for batch in batches:
-            result.append(self.localize_batch(batch), batch.mean_position)
+        for batch, match, n_rep in zip(batches, matches, n_reporting(rss)):
+            est = TrackEstimate.from_match(float(batch.times[0]), match, n_rep)
+            result.append(est, batch.mean_position)
         return result
 
     def reset(self) -> None:

@@ -13,17 +13,15 @@ turns keep violating.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
-from repro.core.tracker import TrackEstimate, TrackResult
+from repro.core.tracker import RoundTracker, TrackEstimate
 from repro.rf.channel import SampleBatch
 
 __all__ = ["KalmanTracker"]
 
 
-class KalmanTracker:
+class KalmanTracker(RoundTracker):
     """Constant-velocity Kalman filter over per-round position fixes.
 
     State ``[x, y, vx, vy]``; measurements are the 2-D position estimates
@@ -116,13 +114,6 @@ class KalmanTracker:
             positions=np.zeros((np.atleast_2d(rss).shape[0], 2)),
         )
         return self.localize_batch(batch, t=t)
-
-    def track(self, batches: Iterable[SampleBatch]) -> TrackResult:
-        self.reset()
-        result = TrackResult()
-        for batch in batches:
-            result.append(self.localize_batch(batch), batch.mean_position)
-        return result
 
     def reset(self) -> None:
         self._state = None

@@ -6,17 +6,15 @@ deployment density, making it a useful yardstick in benchmark tables.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
-from repro.core.tracker import TrackEstimate, TrackResult
-from repro.rf.channel import SampleBatch
+from repro.core.tracker import RoundTracker, TrackEstimate
+from repro.rf.channel import group_mean, n_reporting
 
 __all__ = ["NearestNodeTracker"]
 
 
-class NearestNodeTracker:
+class NearestNodeTracker(RoundTracker):
     """Estimate = position of the sensor with the highest mean RSS."""
 
     def __init__(self, nodes: np.ndarray) -> None:
@@ -28,10 +26,7 @@ class NearestNodeTracker:
             raise ValueError(
                 f"rss has {rss.shape[1]} sensors but the tracker knows {len(self.nodes)}"
             )
-        all_nan = np.isnan(rss).all(axis=0)
-        counts = np.maximum((~np.isnan(rss)).sum(axis=0), 1)
-        sums = np.where(np.isnan(rss), 0.0, rss).sum(axis=0)
-        mean_rss = np.where(all_nan, np.nan, sums / counts)
+        mean_rss = group_mean(rss)
         if np.isnan(mean_rss).all():
             position = self.nodes.mean(axis=0)  # nobody heard anything
             loudest = -1
@@ -43,19 +38,6 @@ class NearestNodeTracker:
             position=position,
             face_ids=np.array([loudest]),
             sq_distance=float("nan"),
-            n_reporting=int((~np.isnan(rss).all(axis=0)).sum()),
+            n_reporting=n_reporting(rss),
             visited_faces=0,
         )
-
-    def localize_batch(self, batch: SampleBatch, t: "float | None" = None) -> TrackEstimate:
-        t0 = float(batch.times[0]) if t is None else t
-        return self.localize(batch.rss, t=t0)
-
-    def track(self, batches: Iterable[SampleBatch]) -> TrackResult:
-        result = TrackResult()
-        for batch in batches:
-            result.append(self.localize_batch(batch), batch.mean_position)
-        return result
-
-    def reset(self) -> None:
-        """Stateless; interface parity."""

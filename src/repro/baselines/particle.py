@@ -12,19 +12,17 @@ related work describes.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
-from repro.core.tracker import TrackEstimate, TrackResult
-from repro.rf.channel import SampleBatch
+from repro.core.tracker import RoundTracker, TrackEstimate
+from repro.rf.channel import SampleBatch, n_reporting
 from repro.rf.pathloss import LogDistancePathLoss
 from repro.rng import ensure_rng
 
 __all__ = ["ParticleFilterTracker"]
 
 
-class ParticleFilterTracker:
+class ParticleFilterTracker(RoundTracker):
     """Bootstrap (SIR) particle filter with a near-constant-velocity prior.
 
     Parameters
@@ -156,7 +154,7 @@ class ParticleFilterTracker:
             position=np.clip(estimate, 0.0, self.field_size),
             face_ids=np.array([-1]),
             sq_distance=float("nan"),
-            n_reporting=int((~np.isnan(batch.rss).all(axis=0)).sum()),
+            n_reporting=n_reporting(batch.rss),
             visited_faces=self.n_particles,
         )
 
@@ -168,13 +166,6 @@ class ParticleFilterTracker:
             positions=np.zeros((rss.shape[0], 2)),
         )
         return self.localize_batch(batch, t=t)
-
-    def track(self, batches: Iterable[SampleBatch]) -> TrackResult:
-        self.reset()
-        result = TrackResult()
-        for batch in batches:
-            result.append(self.localize_batch(batch), batch.mean_position)
-        return result
 
     def reset(self) -> None:
         self._pos = None

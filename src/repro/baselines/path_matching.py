@@ -14,27 +14,19 @@ paper criticizes PM for needing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from repro.baselines.sequences import sign_vector_from_rss, sign_vectors_from_rss
-from repro.core.tracker import TrackEstimate, TrackResult
+from repro.core.matching import ExhaustiveMatcher
+from repro.core.tracker import TrackEstimate, TrackResult, stack_trace
 from repro.geometry.faces import FaceMap
 from repro.geometry.primitives import enumerate_pairs
 from repro.obs import metrics as obs
-from repro.rf.channel import SampleBatch
+from repro.rf.channel import SampleBatch, n_reporting
 
 __all__ = ["PathMatchingTracker"]
-
-
-@dataclass(frozen=True)
-class _Round:
-    t: float
-    vector: np.ndarray
-    n_reporting: int
-    true_position: np.ndarray
 
 
 class PathMatchingTracker:
@@ -68,6 +60,8 @@ class PathMatchingTracker:
             raise ValueError(f"beam width must be >= 1, got {beam_width}")
         if penalty_per_m < 0 or unreachable_penalty < 0:
             raise ValueError("penalties must be non-negative")
+        if reduce not in ("mean", "last"):
+            raise ValueError(f"unknown reduce {reduce!r}")
         self.face_map = face_map
         self.vmax_mps = vmax_mps
         self.beam_width = beam_width
@@ -75,6 +69,7 @@ class PathMatchingTracker:
         self.penalty_per_m = penalty_per_m
         self.unreachable_penalty = unreachable_penalty
         self._pairs = enumerate_pairs(face_map.n_nodes)
+        self._matcher = ExhaustiveMatcher(face_map)
         # equivalent face radius: how far inside a face the target may sit
         areas = face_map.cell_counts * face_map.grid.cell_size**2
         self._face_radius = np.sqrt(areas / np.pi)
@@ -84,35 +79,28 @@ class PathMatchingTracker:
     def build_vector(self, rss: np.ndarray) -> np.ndarray:
         return sign_vector_from_rss(rss, self._pairs, reduce=self.reduce)
 
-    def _emission_scores(self, vector: np.ndarray) -> np.ndarray:
-        """Negative squared vector distance to every face (log-likelihood shape)."""
-        return -self.face_map.distances_to(vector)
-
     def localize(self, rss: np.ndarray, t: float = 0.0) -> TrackEstimate:
         """Single-round localization (degenerates to Direct MLE: no path)."""
         rss = np.atleast_2d(np.asarray(rss, dtype=float))
-        vector = self.build_vector(rss)
-        scores = self._emission_scores(vector)
-        best = float(scores.max())
-        ties = np.flatnonzero(scores >= best - 1e-9)
-        return TrackEstimate(
-            t=t,
-            position=self.face_map.centroids[ties].mean(axis=0),
-            face_ids=ties,
-            sq_distance=-best,
-            n_reporting=int((~np.isnan(rss).all(axis=0)).sum()),
-            visited_faces=self.face_map.n_faces,
-        )
+        if rss.shape[1] != self.face_map.n_nodes:
+            raise ValueError(
+                f"rss has {rss.shape[1]} sensors but the face map expects "
+                f"{self.face_map.n_nodes}"
+            )
+        match = self._matcher.match(self.build_vector(rss))
+        return TrackEstimate.from_match(t, match, n_reporting(rss))
 
     # -- path decoding ---------------------------------------------------------
 
-    def _decode(self, rounds: Sequence[_Round]) -> list[TrackEstimate]:
-        if not rounds:
+    def _decode(
+        self, times: np.ndarray, vectors: np.ndarray, reporting: np.ndarray
+    ) -> list[TrackEstimate]:
+        """Viterbi decoding of a ``(T, P)`` trace of sign vectors."""
+        if not len(vectors):
             return []
         fm = self.face_map
         # batched emissions: one GEMM for the whole trace instead of a
         # distances_to call per round (bit-identical; see distances_to_many)
-        vectors = np.stack([rnd.vector for rnd in rounds])
         em_all = -fm.distances_to_many(vectors)  # (T, F)
         beams: list[np.ndarray] = []
         scores_list: list[np.ndarray] = []
@@ -125,9 +113,9 @@ class PathMatchingTracker:
         # Viterbi over beams
         total = scores_list[0].copy()
         backptr: list[np.ndarray] = []
-        for step in range(1, len(rounds)):
+        for step in range(1, len(vectors)):
             prev_beam, beam = beams[step - 1], beams[step]
-            dt = max(rounds[step].t - rounds[step - 1].t, 1e-9)
+            dt = max(times[step] - times[step - 1], 1e-9)
             reach = (
                 self.vmax_mps * dt
                 + self._face_radius[prev_beam][:, None]
@@ -147,54 +135,38 @@ class PathMatchingTracker:
         # backtrack
         idx = int(np.argmax(total))
         path_rev = [int(beams[-1][idx])]
-        for step in range(len(rounds) - 1, 0, -1):
+        for step in range(len(vectors) - 1, 0, -1):
             idx = int(backptr[step - 1][idx])
             path_rev.append(int(beams[step - 1][idx]))
         path = path_rev[::-1]
 
-        estimates = []
-        for step, (rnd, fid) in enumerate(zip(rounds, path)):
-            d2 = float(-em_all[step, fid])
-            estimates.append(
-                TrackEstimate(
-                    t=rnd.t,
-                    position=fm.centroids[fid].copy(),
-                    face_ids=np.array([fid]),
-                    sq_distance=d2,
-                    n_reporting=rnd.n_reporting,
-                    visited_faces=len(beams[0]) * len(rounds),
-                )
+        return [
+            TrackEstimate(
+                t=float(times[step]),
+                position=fm.centroids[fid].copy(),
+                face_ids=np.array([fid]),
+                sq_distance=float(-em_all[step, fid]),
+                n_reporting=int(reporting[step]),
+                visited_faces=len(beams[0]) * len(vectors),
             )
-        return estimates
+            for step, fid in enumerate(path)
+        ]
 
     def track(self, batches: Iterable[SampleBatch]) -> TrackResult:
         """Offline optimal-path decoding over the whole trace."""
         batches = list(batches)
-        stack = [np.atleast_2d(np.asarray(b.rss, dtype=float)) for b in batches]
-        if len(batches) > 1 and all(s.shape == stack[0].shape for s in stack):
-            # batched sign-vector construction (bit-identical to per-round)
-            vectors = sign_vectors_from_rss(np.stack(stack), self._pairs, reduce=self.reduce)
-        else:
-            vectors = [self.build_vector(rss) for rss in stack]
-        rounds: list[_Round] = []
-        for batch, rss, vector in zip(batches, stack, vectors):
-            rounds.append(
-                _Round(
-                    t=float(batch.times[0]),
-                    vector=np.asarray(vector),
-                    n_reporting=int((~np.isnan(rss).all(axis=0)).sum()),
-                    true_position=batch.mean_position,
-                )
-            )
-        estimates = self._decode(rounds)
+        rss = stack_trace(batches, self.face_map.n_nodes)
+        vectors = sign_vectors_from_rss(rss, self._pairs, reduce=self.reduce)
+        times = np.array([float(b.times[0]) for b in batches])
+        estimates = self._decode(times, vectors, n_reporting(rss))
         if obs.enabled():
             obs.counter("baselines.pm.rounds").inc(len(estimates))
             obs.histogram("baselines.pm.beam_width").observe(
                 min(self.beam_width, self.face_map.n_faces)
             )
         result = TrackResult()
-        for est, rnd in zip(estimates, rounds):
-            result.append(est, rnd.true_position)
+        for est, batch in zip(estimates, batches):
+            result.append(est, batch.mean_position)
         return result
 
     def reset(self) -> None:

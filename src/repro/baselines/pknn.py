@@ -11,17 +11,15 @@ uncertainty-aware baseline that, unlike FTTT, throws away the pairwise
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
-from repro.core.tracker import TrackEstimate, TrackResult
-from repro.rf.channel import SampleBatch
+from repro.core.tracker import RoundTracker, TrackEstimate
+from repro.rf.channel import n_reporting
 
 __all__ = ["PkNNTracker"]
 
 
-class PkNNTracker:
+class PkNNTracker(RoundTracker):
     """Probability-weighted centroid of the probably-k-nearest sensors.
 
     Parameters
@@ -76,19 +74,6 @@ class PkNNTracker:
             position=position,
             face_ids=np.array([-1]),
             sq_distance=float("nan"),
-            n_reporting=int((~np.isnan(rss).all(axis=0)).sum()),
+            n_reporting=n_reporting(rss),
             visited_faces=0,
         )
-
-    def localize_batch(self, batch: SampleBatch, t: "float | None" = None) -> TrackEstimate:
-        t0 = float(batch.times[0]) if t is None else t
-        return self.localize(batch.rss, t=t0)
-
-    def track(self, batches: Iterable[SampleBatch]) -> TrackResult:
-        result = TrackResult()
-        for batch in batches:
-            result.append(self.localize_batch(batch), batch.mean_position)
-        return result
-
-    def reset(self) -> None:
-        """Stateless; interface parity."""

@@ -8,17 +8,15 @@ between nearest-node and the model-based trackers.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
-from repro.core.tracker import TrackEstimate, TrackResult
-from repro.rf.channel import SampleBatch
+from repro.core.tracker import RoundTracker, TrackEstimate
+from repro.rf.channel import group_mean
 
 __all__ = ["WeightedCentroidTracker"]
 
 
-class WeightedCentroidTracker:
+class WeightedCentroidTracker(RoundTracker):
     """Estimate = sum_i w_i x_i / sum_i w_i with w_i = linear-power^g.
 
     Parameters
@@ -40,10 +38,7 @@ class WeightedCentroidTracker:
             raise ValueError(
                 f"rss has {rss.shape[1]} sensors but the tracker knows {len(self.nodes)}"
             )
-        all_nan = np.isnan(rss).all(axis=0)
-        counts = np.maximum((~np.isnan(rss)).sum(axis=0), 1)
-        sums = np.where(np.isnan(rss), 0.0, rss).sum(axis=0)
-        mean_rss = np.where(all_nan, np.nan, sums / counts)
+        mean_rss = group_mean(rss)
         heard = ~np.isnan(mean_rss)
         if not heard.any():
             position = self.nodes.mean(axis=0)
@@ -62,16 +57,3 @@ class WeightedCentroidTracker:
             n_reporting=int(heard.sum()),
             visited_faces=0,
         )
-
-    def localize_batch(self, batch: SampleBatch, t: "float | None" = None) -> TrackEstimate:
-        t0 = float(batch.times[0]) if t is None else t
-        return self.localize(batch.rss, t=t0)
-
-    def track(self, batches: Iterable[SampleBatch]) -> TrackResult:
-        result = TrackResult()
-        for batch in batches:
-            result.append(self.localize_batch(batch), batch.mean_position)
-        return result
-
-    def reset(self) -> None:
-        """Stateless; interface parity."""

@@ -26,9 +26,16 @@ from repro.geometry.faces import FaceMap
 from repro.geometry.primitives import enumerate_pairs
 from repro.obs import metrics as obs
 from repro.obs.tracing import trace_event
-from repro.rf.channel import SampleBatch
+from repro.rf.channel import SampleBatch, n_reporting
 
-__all__ = ["DegradationPolicy", "FTTTracker", "TrackEstimate", "TrackResult"]
+__all__ = [
+    "DegradationPolicy",
+    "FTTTracker",
+    "RoundTracker",
+    "TrackEstimate",
+    "TrackResult",
+    "stack_trace",
+]
 
 Mode = Literal["basic", "extended"]
 MatcherKind = Literal["heuristic", "exhaustive"]
@@ -108,6 +115,18 @@ class TrackEstimate:
     n_reporting: int  # sensors that delivered data this round
     visited_faces: int  # matcher work (for complexity accounting)
 
+    @classmethod
+    def from_match(cls, t: float, match: MatchResult, n_reporting: int) -> "TrackEstimate":
+        """The estimate a face match gives: its tie centroid and distance."""
+        return cls(
+            t=t,
+            position=match.position,
+            face_ids=match.face_ids,
+            sq_distance=match.sq_distance,
+            n_reporting=int(n_reporting),
+            visited_faces=match.visited,
+        )
+
     @property
     def similarity(self) -> float:
         if self.sq_distance == 0.0:
@@ -165,6 +184,51 @@ class TrackResult:
 
     def __len__(self) -> int:
         return len(self.estimates)
+
+
+def stack_trace(batches: "list[SampleBatch]", n_sensors: int) -> np.ndarray:
+    """The ``(T, k, n)`` RSS stack of a trace, for the trace-at-a-time trackers.
+
+    Every round must share one ``(k, n)`` shape with ``n == n_sensors``;
+    a ragged trace or a wrong sensor count raises ``ValueError``.  An empty
+    trace stacks as ``(0, 1, n_sensors)``.
+    """
+    if not batches:
+        return np.empty((0, 1, n_sensors))
+    # np.stack raises ValueError when the rounds differ in shape
+    rss = np.stack([np.asarray(b.rss, dtype=float) for b in batches])
+    if rss.shape[2] != n_sensors:
+        raise ValueError(f"rss has {rss.shape[2]} sensors but the tracker expects {n_sensors}")
+    return rss
+
+
+class RoundTracker:
+    """Base of the trackers that localize a trace one round at a time.
+
+    Subclasses implement :meth:`localize` (or :meth:`localize_batch`, when
+    a round needs its batch); :meth:`track` resets the tracker, then
+    localizes the trace round by round.  Stateless trackers keep the no-op
+    :meth:`reset`.
+    """
+
+    def localize(self, rss: np.ndarray, t: float = 0.0) -> TrackEstimate:
+        raise NotImplementedError
+
+    def localize_batch(self, batch: SampleBatch, t: "float | None" = None) -> TrackEstimate:
+        """Localize from a :class:`~repro.rf.channel.SampleBatch`."""
+        t0 = float(batch.times[0]) if t is None else t
+        return self.localize(batch.rss, t=t0)
+
+    def track(self, batches: Iterable[SampleBatch]) -> TrackResult:
+        """Reset, then localize every round of the trace in order."""
+        self.reset()
+        result = TrackResult()
+        for batch in batches:
+            result.append(self.localize_batch(batch), batch.mean_position)
+        return result
+
+    def reset(self) -> None:
+        """Stateless; nothing to clear."""
 
 
 class FTTTracker:
@@ -259,8 +323,22 @@ class FTTTracker:
                 f"rss has {rss.shape[1]} sensors but the face map was built "
                 f"for {self.face_map.n_nodes}"
             )
-        vector = self.build_vector(rss)
-        n_reporting = int((~np.isnan(rss).all(axis=0)).sum())
+        return self._match_round(self.build_vector(rss), rss, n_reporting(rss), t)
+
+    def _match_round(
+        self,
+        vector: np.ndarray,
+        rss: np.ndarray,
+        n_reporting: int,
+        t: float,
+        match: "MatchResult | None" = None,
+    ) -> TrackEstimate:
+        """One round after Algorithm 1: degradation, matching, the estimate.
+
+        *match* is the round's precomputed match from a trace-level
+        ``match_many``; it is only given without a degradation policy,
+        whose suppression changes the vector before matching.
+        """
         raw_vector = vector
         weak = False
         if self.degradation is not None:
@@ -273,7 +351,8 @@ class FTTTracker:
                         self._record_round(fallback, int(np.isnan(vector).sum()))
                     self._prev_estimate = fallback
                     return fallback
-        match: MatchResult = self.matcher.match(vector)
+        if match is None:
+            match = self.matcher.match(vector)
         if (
             self.degradation is not None
             and self.degradation.tie_break
@@ -283,14 +362,7 @@ class FTTTracker:
             match = self._tie_break(match, rss, t)
         if self.degradation is not None:
             self._update_pair_residuals(raw_vector, match)
-        est = TrackEstimate(
-            t=t,
-            position=match.position,
-            face_ids=match.face_ids,
-            sq_distance=match.sq_distance,
-            n_reporting=n_reporting,
-            visited_faces=match.visited,
-        )
+        est = TrackEstimate.from_match(t, match, n_reporting)
         self._prev_estimate = est
         if obs.enabled():
             self._record_round(est, int(np.isnan(vector).sum()))
@@ -450,53 +522,34 @@ class FTTTracker:
 
         The matcher state persists across rounds, so the heuristic matcher
         starts each search from the previous face (Algorithm 2's
-        consecutive-tracking speedup).  Without a degradation policy a
-        round depends on earlier rounds only through that matcher state,
-        so the whole trace goes through two batched calls: Algorithm-1
-        vectors, then the matcher's ``match_many`` (one GEMM for the
-        exhaustive matcher and for the heuristic matcher's scans) —
-        bit-identical to the per-round loop.
+        consecutive-tracking speedup).  Vectors are stateless, so the
+        whole trace's Algorithm-1 vectors come from one batched call.
+        Without a degradation policy a round depends on earlier rounds
+        only through the matcher state, so matching is one ``match_many``
+        call too (one GEMM for the exhaustive matcher and for the
+        heuristic matcher's scans); the policy's flip EWMAs and quorum
+        holds are sequential, so it matches round by round.  Either way
+        the result is bit-identical to a :meth:`localize` loop.
         """
         batches = list(batches)
         record = obs.enabled()
-        # degradation is sequential state (flip EWMAs, quorum holds), so
-        # the trace-at-a-time path only serves the stateless case
-        if self.degradation is None and len(batches) > 1:
-            stacked = self._stack_rss(batches)
-            if stacked is not None:
-                vectors = self.build_vectors(stacked)
-                matches = self.matcher.match_many(vectors)
-                result = TrackResult()
-                for b, (batch, rss, match) in enumerate(zip(batches, stacked, matches)):
-                    est = TrackEstimate(
-                        t=float(batch.times[0]),
-                        position=match.position,
-                        face_ids=match.face_ids,
-                        sq_distance=match.sq_distance,
-                        n_reporting=int((~np.isnan(rss).all(axis=0)).sum()),
-                        visited_faces=match.visited,
-                    )
-                    if record:
-                        self._record_round(est, int(np.isnan(vectors[b]).sum()))
-                    result.append(est, batch.mean_position)
-                self._prev_estimate = est
-                return result
+        t0 = time.perf_counter() if record else 0.0
+        rss = stack_trace(batches, self.face_map.n_nodes)
+        vectors = self.build_vectors(rss)
+        matches = (
+            self.matcher.match_many(vectors)
+            if self.degradation is None
+            else [None] * len(batches)
+        )
         result = TrackResult()
-        for batch in batches:
-            t0 = time.perf_counter() if record else 0.0
-            est = self.localize_batch(batch)
-            if record:
-                obs.histogram("tracker.round_seconds").observe(time.perf_counter() - t0)
+        for batch, vector, rss_b, n_rep, match in zip(
+            batches, vectors, rss, n_reporting(rss), matches
+        ):
+            est = self._match_round(vector, rss_b, n_rep, float(batch.times[0]), match)
             result.append(est, batch.mean_position)
+        if record:
+            obs.histogram("tracker.track_seconds").observe(time.perf_counter() - t0)
         return result
-
-    def _stack_rss(self, batches: "list[SampleBatch]") -> "np.ndarray | None":
-        """(T, k, n) stack of the batches' RSS, or None if shapes vary."""
-        stack = [np.atleast_2d(np.asarray(b.rss, dtype=float)) for b in batches]
-        shape = stack[0].shape
-        if any(s.shape != shape for s in stack) or shape[1] != self.face_map.n_nodes:
-            return None
-        return np.stack(stack)
 
     def reset(self) -> None:
         """Clear matcher and degradation state (start a fresh trace)."""

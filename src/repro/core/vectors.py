@@ -13,9 +13,10 @@ pair ``(i, j), i < j`` in the canonical enumeration, the pair value is
   than a silent one (+1 / -1), and two silent sensors give the ``*`` value,
   represented as NaN and masked out of every vector difference (Eq. 7).
 
-The vectorized implementations here are the production path; the
-loop-based :func:`sampling_vector_reference` transcribes the paper's
-Algorithm 1 literally and exists to pin the vectorized code to it.
+The stacked ``(T, k, n)`` kernels are the one implementation and the
+per-round functions are their one-round calls; the loop-based
+:func:`sampling_vector_reference` transcribes the paper's Algorithm 1
+literally and exists to pin the vectorized code to it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry.primitives import enumerate_pairs
+from repro.rf.channel import group_mean
 
 __all__ = [
     "STAR",
@@ -38,116 +40,13 @@ STAR = np.nan
 """The ``*`` pair value of Eq. 6 — stored as NaN, masked by Eq. 7."""
 
 
-def _prepare(rss: np.ndarray, pairs: "tuple[np.ndarray, np.ndarray] | None"):
+def _one_round(rss: np.ndarray) -> np.ndarray:
+    """A ``(k, n)`` grouping sampling (or one ``(n,)`` sample) as a
+    one-round ``(1, k, n)`` stack for the stacked kernels."""
     rss = np.atleast_2d(np.asarray(rss, dtype=float))
     if rss.ndim != 2:
         raise ValueError(f"rss must be a (k, n) matrix, got shape {rss.shape}")
-    n = rss.shape[1]
-    if n < 2:
-        raise ValueError(f"need at least two sensors, got {n}")
-    if pairs is None:
-        pairs = enumerate_pairs(n)
-    return rss, pairs
-
-
-def pair_win_counts(
-    rss: np.ndarray,
-    pairs: "tuple[np.ndarray, np.ndarray] | None" = None,
-    *,
-    comparator_eps: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-pair counts over the common valid instants.
-
-    Returns ``(wins_i, wins_j, valid)`` with shapes ``(P,)`` — instants where
-    i's RSS exceeds j's by more than *comparator_eps*, where j exceeds i,
-    and how many instants both sensors reported.  Instants where the two
-    RSS are within *comparator_eps* count toward neither side (tie).
-    """
-    if comparator_eps < 0:
-        raise ValueError(f"comparator_eps must be non-negative, got {comparator_eps}")
-    rss, (i_idx, j_idx) = _prepare(rss, pairs)
-    diff = rss[:, i_idx] - rss[:, j_idx]  # (k, P); NaN if either missing
-    valid = ~np.isnan(diff)
-    wins_i = np.count_nonzero(valid & (diff > comparator_eps), axis=0)
-    wins_j = np.count_nonzero(valid & (diff < -comparator_eps), axis=0)
-    return wins_i, wins_j, np.count_nonzero(valid, axis=0)
-
-
-def _fault_fill(
-    values: np.ndarray,
-    rss: np.ndarray,
-    i_idx: np.ndarray,
-    j_idx: np.ndarray,
-    n_valid: np.ndarray,
-) -> np.ndarray:
-    """Apply the Eq. 6 fill to pairs with no common valid instants."""
-    reported = ~np.isnan(rss).all(axis=0)  # sensor delivered >= 1 sample
-    no_common = n_valid == 0
-    if not no_common.any():
-        return values
-    ri = reported[i_idx]
-    rj = reported[j_idx]
-    values = values.copy()
-    values[no_common & ri & ~rj] = 1.0
-    values[no_common & ~ri & rj] = -1.0
-    values[no_common & ~ri & ~rj] = STAR
-    # both reported but never simultaneously: fall back to mean comparison
-    both = no_common & ri & rj
-    if both.any():
-        counts = np.maximum((~np.isnan(rss)).sum(axis=0), 1)
-        sums = np.where(np.isnan(rss), 0.0, rss).sum(axis=0)
-        means = sums / counts
-        values[both] = np.sign(means[i_idx[both]] - means[j_idx[both]])
-    return values
-
-
-def sampling_vector(
-    rss: np.ndarray,
-    pairs: "tuple[np.ndarray, np.ndarray] | None" = None,
-    *,
-    comparator_eps: float = 0.0,
-) -> np.ndarray:
-    """Basic sampling vector (Algorithm 1 + the Eq. 6 fault fill).
-
-    Parameters
-    ----------
-    rss : (k, n) grouping-sampling matrix, NaN for missing samples.
-    pairs : optional pre-computed canonical pair enumeration.
-    comparator_eps : hardware comparator deadband in dB; RSS pairs within
-        it are ties and force the pair value to 0 (flipped).
-
-    Returns
-    -------
-    (P,) float vector with values in {-1, 0, +1} and NaN for ``*`` pairs.
-    """
-    rss, (i_idx, j_idx) = _prepare(rss, pairs)
-    wins_i, wins_j, n_valid = pair_win_counts(rss, (i_idx, j_idx), comparator_eps=comparator_eps)
-    values = np.zeros(len(i_idx), dtype=float)
-    with np.errstate(invalid="ignore"):
-        ordinal_i = (wins_i == n_valid) & (n_valid > 0)
-        ordinal_j = (wins_j == n_valid) & (n_valid > 0)
-    values[ordinal_i] = 1.0
-    values[ordinal_j] = -1.0
-    return _fault_fill(values, rss, i_idx, j_idx, n_valid)
-
-
-def extended_sampling_vector(
-    rss: np.ndarray,
-    pairs: "tuple[np.ndarray, np.ndarray] | None" = None,
-    *,
-    comparator_eps: float = 0.0,
-) -> np.ndarray:
-    """Extended (quantitative) sampling vector of Definition 10.
-
-    Each component is ``P(i beats j) - P(j beats i)`` estimated over the
-    common valid instants — in ``[-1, 1]``, equal to the basic value at the
-    extremes.  Pairs with no common instants get the Eq. 6 fill.
-    """
-    rss, (i_idx, j_idx) = _prepare(rss, pairs)
-    wins_i, wins_j, n_valid = pair_win_counts(rss, (i_idx, j_idx), comparator_eps=comparator_eps)
-    denom = np.where(n_valid > 0, n_valid, 1)
-    values = (wins_i - wins_j) / denom
-    return _fault_fill(values, rss, i_idx, j_idx, n_valid)
+    return rss[None]
 
 
 def _prepare_stack(
@@ -182,32 +81,90 @@ def _stack_win_counts(
     return wins_i, wins_j, np.count_nonzero(valid, axis=1)
 
 
-def _fault_fill_stack(
+def _fault_fill(
     values: np.ndarray,
     rss: np.ndarray,
     i_idx: np.ndarray,
     j_idx: np.ndarray,
     n_valid: np.ndarray,
 ) -> np.ndarray:
-    """The Eq. 6 fill of :func:`_fault_fill`, per round of a (T, k, n) stack."""
-    reported = ~np.isnan(rss).all(axis=1)  # (T, n)
+    """Apply the Eq. 6 fill to pairs with no common valid instants, per
+    round of a (T, k, n) stack."""
     no_common = n_valid == 0
     if not no_common.any():
         return values
+    reported = ~np.isnan(rss).all(axis=1)  # (T, n): sensor delivered >= 1 sample
     ri = reported[:, i_idx]
     rj = reported[:, j_idx]
     values = values.copy()
     values[no_common & ri & ~rj] = 1.0
     values[no_common & ~ri & rj] = -1.0
     values[no_common & ~ri & ~rj] = STAR
+    # both reported but never simultaneously: fall back to mean comparison
     both = no_common & ri & rj
     if both.any():
-        counts = np.maximum((~np.isnan(rss)).sum(axis=1), 1)  # (T, n)
-        sums = np.where(np.isnan(rss), 0.0, rss).sum(axis=1)
-        means = sums / counts
+        means = group_mean(rss)  # (T, n)
         delta = means[:, i_idx] - means[:, j_idx]
         values[both] = np.sign(delta[both])
     return values
+
+
+def pair_win_counts(
+    rss: np.ndarray,
+    pairs: "tuple[np.ndarray, np.ndarray] | None" = None,
+    *,
+    comparator_eps: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-pair counts over the common valid instants.
+
+    Returns ``(wins_i, wins_j, valid)`` with shapes ``(P,)`` — instants where
+    i's RSS exceeds j's by more than *comparator_eps*, where j exceeds i,
+    and how many instants both sensors reported.  Instants where the two
+    RSS are within *comparator_eps* count toward neither side (tie).
+    """
+    rss, (i_idx, j_idx) = _prepare_stack(_one_round(rss), pairs)
+    wins_i, wins_j, valid = _stack_win_counts(rss, i_idx, j_idx, comparator_eps)
+    return wins_i[0], wins_j[0], valid[0]
+
+
+def sampling_vector(
+    rss: np.ndarray,
+    pairs: "tuple[np.ndarray, np.ndarray] | None" = None,
+    *,
+    comparator_eps: float = 0.0,
+) -> np.ndarray:
+    """Basic sampling vector (Algorithm 1 + the Eq. 6 fault fill).
+
+    One round of :func:`sampling_vectors`.
+
+    Parameters
+    ----------
+    rss : (k, n) grouping-sampling matrix, NaN for missing samples.
+    pairs : optional pre-computed canonical pair enumeration.
+    comparator_eps : hardware comparator deadband in dB; RSS pairs within
+        it are ties and force the pair value to 0 (flipped).
+
+    Returns
+    -------
+    (P,) float vector with values in {-1, 0, +1} and NaN for ``*`` pairs.
+    """
+    return sampling_vectors(_one_round(rss), pairs, comparator_eps=comparator_eps)[0]
+
+
+def extended_sampling_vector(
+    rss: np.ndarray,
+    pairs: "tuple[np.ndarray, np.ndarray] | None" = None,
+    *,
+    comparator_eps: float = 0.0,
+) -> np.ndarray:
+    """Extended (quantitative) sampling vector of Definition 10.
+
+    Each component is ``P(i beats j) - P(j beats i)`` estimated over the
+    common valid instants — in ``[-1, 1]``, equal to the basic value at the
+    extremes.  Pairs with no common instants get the Eq. 6 fill.  One
+    round of :func:`extended_sampling_vectors`.
+    """
+    return extended_sampling_vectors(_one_round(rss), pairs, comparator_eps=comparator_eps)[0]
 
 
 def sampling_vectors(
@@ -216,19 +173,18 @@ def sampling_vectors(
     *,
     comparator_eps: float = 0.0,
 ) -> np.ndarray:
-    """Batched :func:`sampling_vector` over a ``(T, k, n)`` round stack.
+    """Algorithm 1 over a ``(T, k, n)`` round stack -> ``(T, P)`` vectors.
 
-    Returns a ``(T, P)`` matrix whose row ``t`` is bit-identical to
-    ``sampling_vector(rss[t], ...)`` — every operation is elementwise per
-    round, so batching cannot change a single value.  This is the
-    Algorithm-1 kernel the trace-level matchers feed from.
+    Every operation is elementwise per round, so row ``t`` depends on
+    ``rss[t]`` alone.  This is the one Algorithm-1 kernel: the per-round
+    :func:`sampling_vector` is its one-round call.
     """
     rss, (i_idx, j_idx) = _prepare_stack(rss, pairs)
     wins_i, wins_j, n_valid = _stack_win_counts(rss, i_idx, j_idx, comparator_eps)
     values = np.zeros(wins_i.shape, dtype=float)
     values[(wins_i == n_valid) & (n_valid > 0)] = 1.0
     values[(wins_j == n_valid) & (n_valid > 0)] = -1.0
-    return _fault_fill_stack(values, rss, i_idx, j_idx, n_valid)
+    return _fault_fill(values, rss, i_idx, j_idx, n_valid)
 
 
 def extended_sampling_vectors(
@@ -237,12 +193,12 @@ def extended_sampling_vectors(
     *,
     comparator_eps: float = 0.0,
 ) -> np.ndarray:
-    """Batched :func:`extended_sampling_vector` over a ``(T, k, n)`` stack."""
+    """Definition 10 over a ``(T, k, n)`` stack (see :func:`sampling_vectors`)."""
     rss, (i_idx, j_idx) = _prepare_stack(rss, pairs)
     wins_i, wins_j, n_valid = _stack_win_counts(rss, i_idx, j_idx, comparator_eps)
     denom = np.where(n_valid > 0, n_valid, 1)
     values = (wins_i - wins_j) / denom
-    return _fault_fill_stack(values, rss, i_idx, j_idx, n_valid)
+    return _fault_fill(values, rss, i_idx, j_idx, n_valid)
 
 
 def sampling_vector_reference(rss: np.ndarray) -> np.ndarray:

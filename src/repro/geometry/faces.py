@@ -23,8 +23,8 @@ from repro.obs import metrics as obs
 
 __all__ = ["Face", "FaceMap", "build_face_map", "build_certain_face_map"]
 
-#: Bound on the float32 temporaries one `distances_to_many` GEMM block may
-#: allocate; the default ``chunk_rows`` keeps each block under this.
+#: Bound on the float32 ``(rows, F)`` temporaries one `distances_to_many`
+#: GEMM block may allocate; it sets the trace-axis block size.
 _GEMM_TEMP_BYTES = 256 * 1024 * 1024
 
 #: Bound on the float32 ``(rows, P)`` difference block one `distances_to`
@@ -231,19 +231,7 @@ class FaceMap:
             self._qual_sq_t = np.ascontiguousarray(sq.T)
         return self._qual_sq_rows, self._qual_sq_t
 
-    def _resolve_chunk_rows(self, chunk_rows: int | None) -> int:
-        """Trace-axis block size; the default bounds one block's (B, F)
-        float32 temporaries by ``_GEMM_TEMP_BYTES``."""
-        if chunk_rows is None:
-            return max(1, _GEMM_TEMP_BYTES // (4 * max(1, self.n_faces)))
-        chunk_rows = int(chunk_rows)
-        if chunk_rows < 1:
-            raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
-        return chunk_rows
-
-    def distances_to_many(
-        self, vectors: np.ndarray, *, soft: bool = False, chunk_rows: int | None = None
-    ) -> np.ndarray:
+    def distances_to_many(self, vectors: np.ndarray, *, soft: bool = False) -> np.ndarray:
         """Squared vector distance from each of ``(B, P)`` *vectors* to every face.
 
         Bit-identical to calling :meth:`distances_to` per row.  When the
@@ -258,30 +246,35 @@ class FaceMap:
         fractional components (extended vectors, soft signatures) fall
         back to the per-row path to preserve bit-identity.
 
-        The batch is processed in blocks of ``chunk_rows`` traces (see
-        :meth:`distance_blocks`) so peak temporary allocation stays bounded
+        The batch is processed in row blocks (see :meth:`distance_blocks`)
+        so peak temporary allocation stays under ``_GEMM_TEMP_BYTES``
         however large B grows; because both the GEMM expansion and the
         per-row path are exact per row, the block size cannot change a
         single output bit.
         """
         V = self._as_batch(vectors)
-        if len(V) <= self._resolve_chunk_rows(chunk_rows):
+        if len(V) <= self._block_rows():
             return self._distances_block(V, soft)
         out = np.empty((len(V), self.n_faces), dtype=np.float32)
-        for start, d2 in self.distance_blocks(V, soft=soft, chunk_rows=chunk_rows):
+        for start, d2 in self.distance_blocks(V, soft=soft):
             out[start : start + len(d2)] = d2
         return out
 
+    def _block_rows(self) -> int:
+        """Trace-axis block size: one block's ``(rows, F)`` float32
+        temporaries stay under ``_GEMM_TEMP_BYTES``."""
+        return max(1, _GEMM_TEMP_BYTES // (4 * max(1, self.n_faces)))
+
     def distance_blocks(
-        self, vectors: np.ndarray, *, soft: bool = False, chunk_rows: int | None = None
+        self, vectors: np.ndarray, *, soft: bool = False
     ) -> Iterator[tuple[int, np.ndarray]]:
         """Yield ``(start, d2)`` row blocks of :meth:`distances_to_many`.
 
         ``d2`` holds the distances of rows ``start : start + len(d2)``;
-        only one ``(chunk_rows, F)`` block is live at a time.
+        only one block is live at a time.
         """
         V = self._as_batch(vectors)
-        step = self._resolve_chunk_rows(chunk_rows)
+        step = self._block_rows()
         for start in range(0, len(V), step):
             yield start, self._distances_block(V[start : start + step], soft)
 
@@ -364,30 +357,25 @@ class FaceMap:
         return self.best_faces(self.distances_to(vector, soft=soft))
 
     def match_many(
-        self, vectors: np.ndarray, *, soft: bool = False, chunk_rows: int | None = None
+        self, vectors: np.ndarray, *, soft: bool = False
     ) -> tuple[list[np.ndarray], np.ndarray]:
         """Batched :meth:`match` over ``(B, P)`` *vectors*.
 
         Returns ``(ties_per_row, best_sq_distances)`` — identical, row for
         row, to calling :meth:`match` in a loop (see
-        :meth:`distances_to_many` for why).  Processed in ``chunk_rows``
-        blocks so only one (chunk, F) distance block is live at a time.
+        :meth:`distances_to_many` for why).  Processed in
+        :meth:`distance_blocks` so only one distance block is live at a time.
         """
         V = self._as_batch(vectors)
         ties: list[np.ndarray] = []
         bests = np.empty(len(V), dtype=float)
-        for start, d2 in self.distance_blocks(V, soft=soft, chunk_rows=chunk_rows):
+        for start, d2 in self.distance_blocks(V, soft=soft):
             for b, row in enumerate(d2, start=start):
                 t, bests[b] = self.best_faces(row)
                 ties.append(t)
         if obs.enabled():
             obs.counter("geometry.match.batched_rounds").inc(len(ties))
         return ties, bests
-
-    def match_positions_many(self, vectors: np.ndarray, *, soft: bool = False) -> np.ndarray:
-        """Batched :meth:`match_position`: ``(B, 2)`` mean tie centroids."""
-        ties, _ = self.match_many(vectors, soft=soft)
-        return np.stack([self.centroids[t].mean(axis=0) for t in ties])
 
     def match_position(self, vector: np.ndarray, *, soft: bool = False) -> np.ndarray:
         """Position estimate: mean centroid of all maximum-similarity faces.

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.core.vectors import extended_sampling_vector, sampling_vector
 from repro.geometry.primitives import enumerate_pairs
+from repro.rf.channel import group_mean
 
 __all__ = ["ClusterAssignment", "assign_clusters", "DistributedVectorAssembly"]
 
@@ -148,10 +149,7 @@ class DistributedVectorAssembly:
         out[self._intra] = full[self._intra]
 
         # cross-cluster: compare forwarded group means
-        all_nan = np.isnan(rss).all(axis=0)
-        counts = np.maximum((~np.isnan(rss)).sum(axis=0), 1)
-        sums = np.where(np.isnan(rss), 0.0, rss).sum(axis=0)
-        means = np.where(all_nan, np.nan, sums / counts)
+        means = group_mean(rss)
         cross = ~self._intra
         mi = means[self._i_idx[cross]]
         mj = means[self._j_idx[cross]]

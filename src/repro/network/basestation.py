@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.rf.channel import SampleBatch
+from repro.rf.channel import SampleBatch, n_reporting
 
 __all__ = ["LocalizationRound", "BaseStation"]
 
@@ -36,7 +36,7 @@ class LocalizationRound:
 
     @property
     def n_reporting(self) -> int:
-        return int((~np.isnan(self.effective_rss).all(axis=0)).sum())
+        return n_reporting(self.effective_rss)
 
 
 @dataclass

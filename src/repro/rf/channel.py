@@ -14,7 +14,7 @@ import numpy as np
 from repro.rf.noise import GaussianNoise, NoiseModel
 from repro.rf.pathloss import LogDistancePathLoss
 
-__all__ = ["RssChannel", "SampleBatch"]
+__all__ = ["RssChannel", "SampleBatch", "group_mean", "n_reporting"]
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,22 @@ class SampleBatch:
         if ok.any():
             out[ok] = self.rss[:, ok].mean(axis=0)
         return out
+
+
+def group_mean(rss: np.ndarray) -> np.ndarray:
+    """Per-sensor mean over the sample axis of ``(..., k, n)`` grouping
+    samplings, skipping NaN; NaN for a sensor that delivered no sample."""
+    missing = np.isnan(rss)
+    counts = np.maximum((~missing).sum(axis=-2), 1)
+    sums = np.where(missing, 0.0, rss).sum(axis=-2)
+    return np.where(missing.all(axis=-2), np.nan, sums / counts)
+
+
+def n_reporting(rss: np.ndarray) -> "int | np.ndarray":
+    """Sensors that delivered at least one sample of a ``(k, n)`` grouping
+    sampling (an int), or per round of a ``(T, k, n)`` stack (a ``(T,)`` array)."""
+    counts = np.count_nonzero(~np.isnan(rss).all(axis=-2), axis=-1)
+    return int(counts) if np.ndim(counts) == 0 else counts
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,19 @@ class TestSignVectorFromRss:
         with pytest.raises(ValueError, match="reduce"):
             sign_vector_from_rss(np.zeros((2, 3)), reduce="median")
 
+    def test_unknown_reduce_rejected_for_one_shot_row(self):
+        with pytest.raises(ValueError, match="reduce"):
+            sign_vector_from_rss(np.array([-40.0, -50.0, -45.0]), reduce="median")
+
+    @pytest.mark.parametrize("reduce", ["mean", "last"])
+    def test_one_shot_row_is_its_own_reduction(self, reduce):
+        row = np.array([-40.0, np.nan, -45.0, -45.0, np.nan])
+        assert np.array_equal(
+            sign_vector_from_rss(row, reduce=reduce),
+            sign_vector_from_rss(row[None, :], reduce=reduce),
+            equal_nan=True,
+        )
+
     def test_rejects_3d(self):
         with pytest.raises(ValueError):
             sign_vector_from_rss(np.zeros((2, 2, 2)))

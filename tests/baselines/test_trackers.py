@@ -87,6 +87,31 @@ class TestPathMatching:
         tracker = PathMatchingTracker(certain_map)
         assert len(tracker.track([])) == 0
 
+    def test_unknown_reduce_rejected_at_construction(self, certain_map):
+        with pytest.raises(ValueError, match="reduce"):
+            PathMatchingTracker(certain_map, reduce="median")
+
+    def test_localize_rejects_wrong_sensor_count(self, certain_map, four_nodes):
+        rss = batch_at(four_nodes, [55.0, 45.0]).rss
+        wide = np.hstack([rss, rss[:, :2]])  # six sensors on a four-node map
+        with pytest.raises(ValueError, match="sensors"):
+            PathMatchingTracker(certain_map).localize(wide)
+
+    def test_localize_uses_the_face_map_tie_rule(self, certain_map, four_nodes, monkeypatch):
+        from repro.geometry.faces import FaceMap
+
+        # widen the repo's one tie rule: localize must follow it
+        original = FaceMap.tie_tolerance
+        monkeypatch.setattr(FaceMap, "tie_tolerance", lambda self, best: original(self, best) + 1.5)
+        rss = batch_at(four_nodes, [55.0, 45.0]).rss
+        pm = PathMatchingTracker(certain_map)
+        est = pm.localize(rss)
+        ties, best = certain_map.match(pm.build_vector(rss))
+        assert len(ties) > 1
+        assert np.array_equal(est.face_ids, ties)
+        assert est.sq_distance == best
+        assert np.array_equal(est.position, certain_map.centroids[ties].mean(axis=0))
+
     def test_velocity_constraint_smooths_jumps(self, certain_map, four_nodes, rng):
         """With a strong path prior, a single corrupted round cannot fling
         the estimate across the field."""

@@ -70,7 +70,7 @@ def test_world_spans_several_scan_blocks(world):
     assert np.isnan(batches[ALL_STAR_ROUND].rss).all()
 
 
-@pytest.mark.parametrize("name", ["fttt", "fttt-extended", "fttt-zero"])
+@pytest.mark.parametrize("name", ["fttt", "fttt-extended", "fttt-zero", "fttt-robust"])
 def test_track_identical_to_localize_loop(world, name):
     scenario, batches = world
     batched_tracker = scenario.make_tracker(name)
@@ -169,3 +169,59 @@ class TestAllStarRound:
         assert "core.heuristic.fallbacks" not in snap
         ex = ExhaustiveMatcher(face_map).match(star)
         assert ex.face_ids.tolist() == list(range(face_map.n_faces))
+
+
+def _ragged(batches):
+    """The trace with its second round one sample short."""
+    short = batches[1]
+    return [
+        batches[0],
+        SampleBatch(rss=short.rss[:-1], times=short.times[:-1], positions=short.positions[:-1]),
+        *batches[2:],
+    ]
+
+
+def _extra_sensor(batches):
+    """The trace with one more sensor column than the map was built for."""
+    return [
+        SampleBatch(
+            rss=np.hstack([b.rss, np.full((len(b.rss), 1), -60.0)]),
+            times=b.times,
+            positions=b.positions,
+        )
+        for b in batches
+    ]
+
+
+class TestOneTracePath:
+    """Every trace tracker stacks its trace through ``stack_trace``: one
+    ``(T, k, n)`` path, no per-round fallback for odd traces."""
+
+    @pytest.mark.parametrize("name", ["fttt", "fttt-robust", "direct-mle", "pm"])
+    @pytest.mark.parametrize("bad", [_ragged, _extra_sensor])
+    def test_odd_trace_rejected(self, world, name, bad):
+        scenario, batches = world
+        tracker = scenario.make_tracker(name)
+        with pytest.raises(ValueError, match="shape|sensors"):
+            tracker.track(bad(batches[:4]))
+
+    @pytest.mark.parametrize("name", ["fttt", "fttt-robust", "direct-mle"])
+    def test_single_round_trace_matches_localize(self, world, name):
+        scenario, batches = world
+        tracked = scenario.make_tracker(name).track(batches[:1]).estimates
+        assert [_key(e) for e in tracked] == [
+            _key(e) for e in _loop(scenario.make_tracker(name), batches[:1])
+        ]
+
+    @pytest.mark.parametrize("name", ["fttt", "fttt-robust"])
+    def test_track_seconds_observed_once_per_track(self, world, name):
+        scenario, batches = world
+        tracker = scenario.make_tracker(name)
+        with obs.observe() as reg:
+            tracker.track(batches)
+            tracker.track(batches[:3])
+            snap = reg.snapshot()
+        assert snap["tracker.track_seconds"]["count"] == 2
+        assert snap["tracker.track_seconds"]["min"] > 0.0
+        assert snap["tracker.rounds"]["value"] == len(batches) + 3
+        assert "tracker.round_seconds" not in snap

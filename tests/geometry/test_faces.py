@@ -300,31 +300,45 @@ class TestBlockedScan:
 
 
 class TestChunkedMatching:
-    """distances_to_many / match_many chunk over the trace axis."""
+    """distances_to_many / match_many chunk over the trace axis in
+    ``_GEMM_TEMP_BYTES`` row blocks."""
 
     def _vectors(self, face_map, rng, n):
         idx = rng.integers(0, face_map.n_faces, size=n)
         return face_map.signatures[idx].astype(np.float32)
 
-    @pytest.mark.parametrize("chunk_rows", [1, 3, 7, 10_000])
-    def test_distances_to_many_invariant(self, face_map, rng, chunk_rows):
+    @staticmethod
+    def _set_block_rows(monkeypatch, face_map, rows):
+        from repro.geometry import faces
+
+        monkeypatch.setattr(faces, "_GEMM_TEMP_BYTES", rows * 4 * face_map.n_faces)
+
+    @pytest.mark.parametrize("rows", [1, 3, 7, 10_000])
+    def test_distances_to_many_invariant(self, face_map, rng, monkeypatch, rows):
         V = self._vectors(face_map, rng, 23)
         base = face_map.distances_to_many(V)
-        chunked = face_map.distances_to_many(V, chunk_rows=chunk_rows)
+        self._set_block_rows(monkeypatch, face_map, rows)
+        chunked = face_map.distances_to_many(V)
         assert np.array_equal(base, chunked, equal_nan=True)
 
-    @pytest.mark.parametrize("chunk_rows", [1, 5, 10_000])
-    def test_match_many_invariant(self, face_map, rng, chunk_rows):
+    @pytest.mark.parametrize("rows", [1, 5, 10_000])
+    def test_match_many_invariant(self, face_map, rng, monkeypatch, rows):
         V = self._vectors(face_map, rng, 23)
         base_ties, base_best = face_map.match_many(V)
-        ties, best = face_map.match_many(V, chunk_rows=chunk_rows)
+        self._set_block_rows(monkeypatch, face_map, rows)
+        ties, best = face_map.match_many(V)
         assert np.array_equal(base_best, best)
         assert len(base_ties) == len(ties)
         for a, b in zip(base_ties, ties):
             assert np.array_equal(a, b)
 
-    def test_default_chunk_is_bounded(self, face_map):
-        # the default must keep the GEMM temp under the documented cap
-        chunk = face_map._resolve_chunk_rows(None)
-        assert chunk * face_map.n_faces * 4 <= 256 * 1024 * 1024
-        assert chunk >= 1
+    def test_default_chunk_is_bounded(self, face_map, rng, monkeypatch):
+        # every block must keep the GEMM temp under the documented cap
+        from repro.geometry import faces
+
+        assert faces._GEMM_TEMP_BYTES == 256 * 1024 * 1024
+        self._set_block_rows(monkeypatch, face_map, 4)
+        V = self._vectors(face_map, rng, 23)
+        blocks = list(face_map.distance_blocks(V))
+        assert [start for start, _ in blocks] == list(range(0, 23, 4))
+        assert all(d2.nbytes <= faces._GEMM_TEMP_BYTES for _, d2 in blocks)
