@@ -59,35 +59,57 @@ def expected_extended_signatures(
         raise AssertionError("pair count mismatch between nodes and signatures")
 
     dist = pairwise_distances(grid.cell_centers, nodes)  # (M, n)
+    with np.errstate(divide="ignore"):
+        log_dist = np.log10(dist)  # once per (cell, node), not per (cell, pair)
+    hears = None if sensing_range is None else dist <= sensing_range
     counts = face_map.cell_counts.astype(np.float64)
     out = np.empty((n_faces, n_pairs), dtype=np.float32)
     denom = np.sqrt(2.0) * noise_sigma_dbm
+    bins: dict[int, np.ndarray] = {}  # (face, column) bin of every chunk entry, per width
     for start in range(0, n_pairs, chunk_pairs):
         stop = min(start + chunk_pairs, n_pairs)
-        di = dist[:, i_idx[start:stop]]
-        dj = dist[:, j_idx[start:stop]]
-        with np.errstate(divide="ignore"):
-            dmu = 10.0 * path_loss_exponent * (np.log10(dj) - np.log10(di))
-        if noise_sigma_dbm > 0:
-            vals = ndtr((dmu - resolution_dbm) / denom) - ndtr((-dmu - resolution_dbm) / denom)
-        else:  # noiseless: hard sign outside the deadband
-            vals = np.sign(dmu) * (np.abs(dmu) > resolution_dbm)
-        if sensing_range is not None:
-            in_i = di <= sensing_range
-            in_j = dj <= sensing_range
-            vals = np.where(in_i & ~in_j, 1.0, vals)
-            vals = np.where(~in_i & in_j, -1.0, vals)
-            vals = np.where(~in_i & ~in_j, 0.0, vals)
+        i_chunk, j_chunk = i_idx[start:stop], j_idx[start:stop]
+        if hears is None:
+            vals = _expected_values(
+                log_dist[:, j_chunk] - log_dist[:, i_chunk],
+                path_loss_exponent, noise_sigma_dbm, resolution_dbm, denom,
+            )
+        else:
+            # one silent node => +-1, both silent => 0: in_i - in_j; the
+            # channel model is evaluated only where both nodes hear the cell
+            in_i = hears[:, i_chunk]
+            in_j = hears[:, j_chunk]
+            vals = in_i.astype(np.float64) - in_j
+            both = in_i & in_j
+            cell, col = np.nonzero(both)
+            vals[cell, col] = _expected_values(
+                log_dist[cell, j_chunk[col]] - log_dist[cell, i_chunk[col]],
+                path_loss_exponent, noise_sigma_dbm, resolution_dbm, denom,
+            )
         # per-face sums: bin (face, column) adds its cells' values in cell
         # order, the same sequence ``np.add.at(acc, cell_face, vals)`` adds
         width = stop - start
+        if width not in bins:
+            bins[width] = (cell_face[:, None] * width + np.arange(width)).ravel()
         acc = np.bincount(
-            (cell_face[:, None] * width + np.arange(width)).ravel(),
-            weights=vals.ravel(),
-            minlength=n_faces * width,
+            bins[width], weights=vals.ravel(), minlength=n_faces * width
         ).reshape(n_faces, width)
         out[:, start:stop] = (acc / counts[:, None]).astype(np.float32)
     return out
+
+
+def _expected_values(
+    log_ratio: np.ndarray,
+    path_loss_exponent: float,
+    noise_sigma_dbm: float,
+    resolution_dbm: float,
+    denom: float,
+) -> np.ndarray:
+    """``E[v]`` of pair entries with ``log_ratio = log10(d_j) - log10(d_i)``."""
+    dmu = 10.0 * path_loss_exponent * log_ratio
+    if noise_sigma_dbm > 0:
+        return ndtr((dmu - resolution_dbm) / denom) - ndtr((-dmu - resolution_dbm) / denom)
+    return np.sign(dmu) * (np.abs(dmu) > resolution_dbm)  # noiseless: hard sign outside the deadband
 
 
 def attach_soft_signatures(

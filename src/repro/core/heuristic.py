@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.matching import ExhaustiveMatcher, MatchResult
-from repro.geometry.faces import FaceMap
+from repro.geometry.faces import FaceMap, TraceScan
 from repro.obs import metrics as obs
 
 __all__ = ["HeuristicMatcher"]
@@ -41,6 +41,10 @@ class HeuristicMatcher:
         single-step component errors before falling back.
     max_steps : hard bound on hill-climb moves (defensive; the climb is
         strictly improving so it always terminates anyway).
+
+    Obs counters: ``core.heuristic.{rounds,fallbacks,init_scans,steps,visited}``
+    for climbs on qualitative signatures, the same names under
+    ``core.heuristic.soft.`` for soft ones, whose fallback gate differs.
     """
 
     def __init__(
@@ -91,41 +95,43 @@ class HeuristicMatcher:
         falls back to one exhaustive scan — Algorithm 2's
         ``Initialization()``.
         """
-        return self._match(vector, start_face, None)
+        return self._match(vector, start_face)
 
     def match_many(self, vectors: np.ndarray) -> list[MatchResult]:
         """Match a ``(T, P)`` trace, row ``b`` identical to the ``b``-th
         call of a :meth:`match` loop.
 
-        The climb runs round by round as in the loop.  When the trace has
-        an exact GEMM (:meth:`~repro.geometry.faces.FaceMap.gemm_exact`:
-        qualitative signatures, Definition-4 vectors) every exhaustive scan
-        the loop would make — the initial scan and each fallback — reads
-        its row of one ``distances_to_many`` block, which is bit-identical
-        per row to ``distances_to``.  Without one, precomputing a row costs
-        a full scan that most rounds never use, so each fallback scans its
-        own row when it fires, as :meth:`match` does.
+        The climb runs round by round as in the loop, on the same vector
+        rows.  Every exhaustive scan the loop would make — the initial scan
+        and each fallback — is one :meth:`~repro.geometry.faces.TraceScan.scan`
+        of the trace instead: a row of one exact GEMM block for
+        Definition-4 vectors against qualitative signatures, or the bounded
+        float64 GEMM filter plus exact rescoring for soft signatures and
+        fractional vectors.  Either is computed only once a row of its
+        block needs it, and resolves to the same ties and best value as
+        the loop's ``distances_to`` scan.
         """
         vectors = np.asarray(vectors)
-        if not self.face_map.gemm_exact(vectors, soft=self.soft):
-            return [self.match(v) for v in vectors]
-        out: list[MatchResult] = []
-        for start, d2 in self.face_map.distance_blocks(vectors):
-            out.extend(self._match(vectors[b], None, row) for b, row in enumerate(d2, start))
-        return out
+        scan = TraceScan(self.face_map, vectors, soft=self.soft)
+        return [self._match(v, None, scan, b) for b, v in enumerate(vectors)]
 
     def _match(
-        self, vector: np.ndarray, start_face: "int | None", d2: "np.ndarray | None"
+        self,
+        vector: np.ndarray,
+        start_face: "int | None",
+        scan: "TraceScan | None" = None,
+        row: int = 0,
     ) -> MatchResult:
-        """One round of :meth:`match`; an exhaustive scan reads the
-        precomputed distance row *d2* when given."""
+        """One round of :meth:`match`; an exhaustive scan is row *row* of
+        *scan* when given."""
         fm = self.face_map
         record = obs.enabled()
+        prefix = "core.heuristic.soft" if self.soft else "core.heuristic"
         start = start_face if start_face is not None else self._last_face
         if start is None:
             if record:
-                obs.counter("core.heuristic.init_scans").inc()
-            result = self._scan(vector, d2)
+                obs.counter(f"{prefix}.init_scans").inc()
+            result = self._scan(vector, scan, row)
             self._last_face = result.face_id
             return result
         if not (0 <= start < fm.n_faces):
@@ -159,14 +165,14 @@ class HeuristicMatcher:
                 break
 
         if record:
-            obs.counter("core.heuristic.rounds").inc()
-            obs.histogram("core.heuristic.steps").observe(steps)
-            obs.histogram("core.heuristic.visited").observe(visited)
+            obs.counter(f"{prefix}.rounds").inc()
+            obs.histogram(f"{prefix}.steps").observe(steps)
+            obs.histogram(f"{prefix}.visited").observe(visited)
 
         if self.fallback and current_d2 > self.fallback_sq_distance:
             if record:
-                obs.counter("core.heuristic.fallbacks").inc()
-            result = self._scan(vector, d2)
+                obs.counter(f"{prefix}.fallbacks").inc()
+            result = self._scan(vector, scan, row)
             self._last_face = result.face_id
             return MatchResult(
                 face_ids=result.face_ids,
@@ -183,7 +189,7 @@ class HeuristicMatcher:
             visited=visited,
         )
 
-    def _scan(self, vector: np.ndarray, d2: "np.ndarray | None") -> MatchResult:
-        if d2 is None:
+    def _scan(self, vector: np.ndarray, scan: "TraceScan | None", row: int) -> MatchResult:
+        if scan is None:
             return self._exhaustive.match(vector)
-        return self._exhaustive.match_row(d2)
+        return self._exhaustive.match_row(*scan.scan(row))

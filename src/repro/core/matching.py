@@ -59,22 +59,23 @@ class ExhaustiveMatcher:
         accepted so exhaustive and heuristic matchers are interchangeable)."""
         return self._result(*self.face_map.match(vector, soft=self.soft))
 
-    def match_row(self, d2: np.ndarray) -> MatchResult:
-        """Match from a precomputed ``(F,)`` distance row.
+    def match_row(self, d2: np.ndarray, face_ids: "np.ndarray | None" = None) -> MatchResult:
+        """Match from precomputed distances of every face, or of the
+        ascending *face_ids* only (see
+        :meth:`~repro.geometry.faces.FaceMap.best_faces`).
 
-        Identical to ``match(vector)`` when *d2* is bit-identical to
-        ``face_map.distances_to(vector)``, e.g. a row of
-        :meth:`~repro.geometry.faces.FaceMap.distances_to_many`.
+        Identical to ``match(vector)`` when ``(d2, face_ids)`` is a
+        :meth:`~repro.geometry.faces.TraceScan.scan` of *vector*, or *d2*
+        is bit-identical to ``face_map.distances_to(vector)``.
         """
-        return self._result(*self.face_map.best_faces(d2))
+        return self._result(*self.face_map.best_faces(d2, face_ids))
 
     def match_many(self, vectors: np.ndarray) -> list[MatchResult]:
         """Match a whole ``(B, P)`` batch of vectors in one kernel call.
 
         Row ``b`` of the result is bit-identical to ``match(vectors[b])``
-        (see :meth:`repro.geometry.faces.FaceMap.distances_to_many`); the
-        batch trades the per-round Python loop for one GEMM over the
-        signature matrix.
+        (see :meth:`repro.geometry.faces.FaceMap.match_many`); the batch
+        trades the per-round scans for GEMMs over the signature matrix.
         """
         ties, bests = self.face_map.match_many(vectors, soft=self.soft)
         return [self._result(t, float(best)) for t, best in zip(ties, bests)]

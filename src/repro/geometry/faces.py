@@ -21,7 +21,7 @@ from repro.geometry.grid import Grid
 from repro.geometry.primitives import enumerate_pairs
 from repro.obs import metrics as obs
 
-__all__ = ["Face", "FaceMap", "build_face_map", "build_certain_face_map"]
+__all__ = ["Face", "FaceMap", "TraceScan", "build_face_map", "build_certain_face_map"]
 
 #: Bound on the float32 ``(rows, F)`` temporaries one `distances_to_many`
 #: GEMM block may allocate; it sets the trace-axis block size.
@@ -32,6 +32,25 @@ _GEMM_TEMP_BYTES = 256 * 1024 * 1024
 #: scan streams the signature matrix once instead of writing and re-reading
 #: an ``(F, P)`` temporary.
 _SCAN_BLOCK_BYTES = 256 * 1024
+
+#: Trace rows one pass of the inexact-trace scan filter covers (see
+#: :class:`TraceScan`).  Its float64 ``(rows, F)`` result is smaller than
+#: the float32 ``(F, P)`` signature matrix once P > 128 (n >= 17).
+_FILTER_TRACE_ROWS = 64
+
+#: Bound on the float64 copy of one face block of signatures (and, again,
+#: of its squares) the filter GEMMs read: the face axis is blocked so no
+#: ``(F, P)`` float64 copy is ever made.
+_FILTER_FACE_BYTES = 1024 * 1024
+
+_U32 = 2.0**-24  # unit roundoff of float32
+_U64 = 2.0**-53  # unit roundoff of float64
+
+
+def _gamma(n: int, u: float) -> float:
+    """Higham's ``gamma_n = n u / (1 - n u)``: the relative error bound of an
+    ``n``-term float sum or dot product in any summation order."""
+    return n * u / (1.0 - n * u)
 
 
 @dataclass(frozen=True)
@@ -211,13 +230,23 @@ class FaceMap:
         v = np.asarray(vector, dtype=np.float32)
         if v.shape != (self.n_pairs,):
             raise ValueError(f"vector has shape {v.shape}, expected ({self.n_pairs},)")
-        sigs = self.signature_matrix(soft=soft)
+        return self._scan_faces(self.signature_matrix(soft=soft), v)
+
+    def _scan_faces(
+        self, sigs: np.ndarray, v: np.ndarray, face_ids: "np.ndarray | None" = None
+    ) -> np.ndarray:
+        """The exact kernel of :meth:`distances_to` over every face, or over
+        *face_ids* only: the same per-face einsum either way."""
         mask = np.isnan(v)
         masked = bool(mask.any())
+        n = self.n_faces if face_ids is None else len(face_ids)
         rows = max(1, _SCAN_BLOCK_BYTES // (4 * self.n_pairs))
-        out = np.empty(self.n_faces, dtype=np.result_type(sigs, v))
-        for start in range(0, self.n_faces, rows):
-            diff = sigs[start : start + rows] - v
+        out = np.empty(n, dtype=np.result_type(sigs, v))
+        for start in range(0, n, rows):
+            if face_ids is None:
+                diff = sigs[start : start + rows] - v
+            else:
+                diff = sigs[face_ids[start : start + rows]] - v
             if masked:
                 diff[:, mask] = 0.0
             out[start : start + rows] = np.einsum("fp,fp->f", diff, diff)
@@ -242,9 +271,11 @@ class FaceMap:
         sum is then a small exact integer in float32, so the result is
         exactly the per-row einsum regardless of BLAS summation order.  NaN
         fault components (Eq. 7) are handled by zeroing them and
-        subtracting the masked signature energy, again exactly.  Rows with
-        fractional components (extended vectors, soft signatures) fall
-        back to the per-row path to preserve bit-identity.
+        subtracting the masked signature energy, again exactly.  Other
+        batches (extended vectors, soft signatures) have no exact GEMM, so
+        their full rows are ``distances_to`` per row; matching such a batch
+        needs only each row's near-best faces, which :meth:`match_many`
+        finds with the bounded GEMM filter of :class:`TraceScan`.
 
         The batch is processed in row blocks (see :meth:`distance_blocks`)
         so peak temporary allocation stays under ``_GEMM_TEMP_BYTES``
@@ -279,9 +310,11 @@ class FaceMap:
             yield start, self._distances_block(V[start : start + step], soft)
 
     def gemm_exact(self, vectors: np.ndarray, *, soft: bool = False) -> bool:
-        """True when :meth:`distances_to_many` computes *vectors* by the
-        exact GEMM expansion rather than one :meth:`distances_to` per row:
-        qualitative signatures and small-integer components (NaN = ``*``)."""
+        """True when the float32 GEMM expansion of :meth:`distances_to_many`
+        is exact for *vectors*: qualitative signatures and small-integer
+        components (NaN = ``*``).  Otherwise :meth:`distances_to_many`
+        computes one :meth:`distances_to` per row and :class:`TraceScan`
+        matches through its bounded float64 filter instead."""
         if soft:
             return False
         V = np.asarray(vectors, dtype=np.float32)
@@ -324,6 +357,9 @@ class FaceMap:
         absolute floor instead would admit soft-signature faces a genuine
         ``~1e-8`` away — two bit-equal faces must tie with each other and
         with nothing else.
+
+        ``best + tie_tolerance(best)`` is nondecreasing in ``best``; the
+        candidate bound of :meth:`TraceScan.limit` relies on it.
         """
         best = float(best)
         if best == 0.0:
@@ -331,16 +367,23 @@ class FaceMap:
         eps32 = float(np.finfo(np.float32).eps)
         return max(1e-6, best * eps32 * math.sqrt(self.n_pairs))
 
-    def best_faces(self, d2: np.ndarray) -> tuple[np.ndarray, float]:
-        """``(face_ids, best)`` of one ``(F,)`` distance row: every face
-        within :meth:`tie_tolerance` of the minimum.
+    def best_faces(
+        self, d2: np.ndarray, face_ids: "np.ndarray | None" = None
+    ) -> tuple[np.ndarray, float]:
+        """``(face_ids, best)`` of one distance row: every face within
+        :meth:`tie_tolerance` of the minimum.
 
-        The one tie rule of :meth:`match`, :meth:`match_many` and any caller
+        *d2* holds the distances of every face, or of the ascending
+        *face_ids* only — the same answer whenever those include every face
+        within the tolerance of the row minimum (:class:`TraceScan`).  The
+        one tie rule of :meth:`match`, :meth:`match_many` and any caller
         resolving a precomputed row, and the one place the
         ``geometry.match.*`` counters are recorded.
         """
         best = float(d2.min())
         ties = np.flatnonzero(d2 <= best + self.tie_tolerance(best))
+        if face_ids is not None:
+            ties = face_ids[ties]
         if obs.enabled():
             obs.counter("geometry.match.rounds").inc()
             obs.histogram("geometry.match.ties").observe(len(ties))
@@ -362,17 +405,15 @@ class FaceMap:
         """Batched :meth:`match` over ``(B, P)`` *vectors*.
 
         Returns ``(ties_per_row, best_sq_distances)`` — identical, row for
-        row, to calling :meth:`match` in a loop (see
-        :meth:`distances_to_many` for why).  Processed in
-        :meth:`distance_blocks` so only one distance block is live at a time.
+        row, to calling :meth:`match` in a loop: every row is one
+        :meth:`TraceScan.scan`.
         """
-        V = self._as_batch(vectors)
+        scan = TraceScan(self, vectors, soft=soft)
         ties: list[np.ndarray] = []
-        bests = np.empty(len(V), dtype=float)
-        for start, d2 in self.distance_blocks(V, soft=soft):
-            for b, row in enumerate(d2, start=start):
-                t, bests[b] = self.best_faces(row)
-                ties.append(t)
+        bests = np.empty(len(scan), dtype=float)
+        for b in range(len(scan)):
+            t, bests[b] = self.best_faces(*scan.scan(b))
+            ties.append(t)
         if obs.enabled():
             obs.counter("geometry.match.batched_rounds").inc(len(ties))
         return ties, bests
@@ -391,6 +432,128 @@ class FaceMap:
     def expected_vector_for_point(self, point: np.ndarray) -> np.ndarray:
         """Noise-free expected sampling vector at *point* (== its face signature)."""
         return self.signature_of_point(point).astype(np.float64)
+
+
+class TraceScan:
+    """On-demand exhaustive scans of the rows of one ``(T, P)`` trace.
+
+    :meth:`scan` returns ``(d2, face_ids)`` for row ``b`` such that
+    ``face_map.best_faces(d2, face_ids)`` equals
+    ``face_map.match(vectors[b], soft=soft)`` bit for bit, obs counters
+    included.  A block of rows is computed only once one of its rows is
+    scanned — a filter block (below) once a second one is, since a filter
+    pass costs several single scans: the block's first scan runs alone as
+    ``distances_to``.  Only the latest block is kept, so a trace whose rows
+    rarely need a scan pays for few blocks, and one that never falls back
+    for no filter pass.
+
+    * **Exact traces** (:meth:`FaceMap.gemm_exact`): ``d2`` is the row's
+      full float32 GEMM distance row, bit-identical to ``distances_to``;
+      ``face_ids`` is None (every face).
+    * **Other traces** (soft signatures, fractional vectors) have no exact
+      GEMM.  A filter pass computes an approximate float64 d² of each of
+      ``_FILTER_TRACE_ROWS`` rows to every face with the masked expansion
+      ``sum m v^2 - 2 (m v) . s + m . s^2`` (``m`` zero on Eq. 7's ``*``
+      components), in face blocks of ``_FILTER_FACE_BYTES`` so no
+      ``(F, P)`` float64 copy exists.  :meth:`limit` bounds, rigorously,
+      how far above the row's approximate minimum a face can lie and still
+      be within the tie window of the exact minimum; the faces below it
+      are rescored with the exact ``distances_to`` kernel.  Every face
+      ``best_faces`` would report is among them, and so is the minimum, so
+      the ties and the best value equal the full scan's.
+    """
+
+    def __init__(self, face_map: FaceMap, vectors: np.ndarray, *, soft: bool = False) -> None:
+        self.face_map = face_map
+        self.soft = soft
+        self.vectors = face_map._as_batch(vectors)
+        self.exact = face_map.gemm_exact(self.vectors, soft=soft)
+        self._rows = face_map._block_rows() if self.exact else _FILTER_TRACE_ROWS
+        self._start = -1
+        self._first = -1  # block whose first scan ran alone
+        self._block: np.ndarray | None = None  # exact d2, or approximate float64 d2
+        self._vsq: np.ndarray | None = None  # per row sum m v^2 of the filter block
+
+    def __len__(self) -> int:
+        return len(self.vectors)
+
+    def scan(self, b: int) -> tuple[np.ndarray, "np.ndarray | None"]:
+        """``(d2, face_ids)`` of row *b*: the exact distances of every face
+        (``face_ids`` None) or of the ascending filter survivors."""
+        fm = self.face_map
+        start = b - b % self._rows
+        if start != self._start:
+            rows = self.vectors[start : start + self._rows]
+            if self.exact:
+                self._block = fm._distances_block(rows, self.soft)
+            elif start != self._first:
+                self._first = start
+                return fm.distances_to(self.vectors[b], soft=self.soft), None
+            else:
+                self._block, self._vsq = self._filter(rows)
+            self._start = start
+        if self.exact:
+            return self._block[b - start], None
+        approx = self._block[b - start]
+        limit = self.limit(float(approx.min()), float(self._vsq[b - start]))
+        face_ids = np.flatnonzero(approx <= limit)
+        sigs = fm.signature_matrix(soft=self.soft)
+        return fm._scan_faces(sigs, self.vectors[b], face_ids), face_ids
+
+    def _filter(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Approximate float64 d² of *V*'s rows to every face, and each
+        row's ``sum m v^2``."""
+        fm = self.face_map
+        sigs = fm.signature_matrix(soft=self.soft)
+        mask = np.isnan(V)
+        v0 = np.where(mask, 0.0, V.astype(np.float64))
+        vsq = np.einsum("bp,bp->b", v0, v0)
+        keep = (~mask).astype(np.float64) if mask.any() else None
+        approx = np.empty((len(V), fm.n_faces))
+        step = max(1, _FILTER_FACE_BYTES // (8 * fm.n_pairs))
+        for start in range(0, fm.n_faces, step):
+            s = sigs[start : start + step].astype(np.float64)
+            block = v0 @ s.T
+            block *= -2.0
+            s *= s  # float32 squares are exact in float64
+            block += s.sum(axis=1) if keep is None else keep @ s.T
+            block += vsq[:, None]
+            approx[:, start : start + step] = block
+        return approx, vsq
+
+    def limit(self, approx_min: float, vsq: float) -> float:
+        """Largest approximate d² a face can have and still be a tie of the
+        exact scan, for a row with approximate minimum *approx_min* and
+        ``sum m v^2`` = *vsq*.
+
+        With ``d`` a face's real distance (over the float32 operands),
+        ``D`` its ``distances_to`` value and ``A`` its filter value:
+
+        * ``|A - d| <= e + rho d`` with ``e = 8 g64 vsq``, ``rho = 4 g64``,
+          ``g64 = gamma_{P+4}`` in float64: each GEMM term errs by at most
+          ``g64`` times the sum of its absolute products, and those sums are
+          at most ``6 vsq + 4 d`` (the squares and products of float32
+          values are exact in float64).
+        * ``|D - d| <= r32 d + a32`` with ``r32 = gamma_{P+4}`` in float32:
+          a rounded subtraction, a rounded square and a P-term float32 sum
+          in any order; ``a32`` covers underflow.
+
+        So ``min D`` is at most ``U = (1 + r32)(approx_min + e)/(1 - rho) +
+        a32``, and ``best_faces`` keeps faces with ``D <= best +
+        tie_tolerance(best)``, compared in float32; that is below ``(U +
+        tie_tolerance(U))(1 + 2^-23)`` because ``x + tie_tolerance(x)`` is
+        nondecreasing.  A face whose lower bound ``(1 - r32)(A - e)/(1 +
+        rho) - a32`` exceeds that cannot be reported.
+        """
+        n = self.face_map.n_pairs + 4
+        g64 = _gamma(n, _U64)
+        r32 = _gamma(n, _U32)
+        a32 = n * float(np.finfo(np.float32).tiny)
+        e = 8.0 * g64 * vsq
+        rho = 4.0 * g64
+        upper = (1.0 + r32) * (approx_min + e) / (1.0 - rho) + a32
+        window = (upper + self.face_map.tie_tolerance(upper)) * (1.0 + 2.0 * _U32)
+        return (window + a32) * (1.0 + rho) / (1.0 - r32) + e
 
 
 def _build_adjacency(cell_face: np.ndarray, grid: Grid, n_faces: int) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,9 @@ side by side, and reports every divergence across seven check families:
 * ``batched_*`` — every batched kernel vs its own per-row path (bitwise);
 * ``heuristic_climb`` — Algorithm 2 invariants against the oracle's
   exhaustive optimum, and its trace-at-a-time ``match_many`` vs the
-  per-round ``match`` loop (bitwise);
+  per-round ``match`` loop (bitwise); in extended mode also on attached
+  soft signatures (§6), where every filtered trace scan must equal the
+  full ``distances_to`` scan (bitwise);
 * ``tracker_anchor`` — the production round loop vs the oracle tracker.
 
 On divergence the harness greedily *shrinks* the spec (drop faults, turn
@@ -39,6 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.extended import attach_soft_signatures
 from repro.core.heuristic import HeuristicMatcher
 from repro.core.tracker import DegradationPolicy, FTTTracker
 from repro.core.vectors import (
@@ -48,7 +51,7 @@ from repro.core.vectors import (
     sampling_vectors,
 )
 from repro.geometry.apollonius import uncertainty_constant
-from repro.geometry.faces import build_certain_face_map, build_face_map
+from repro.geometry.faces import TraceScan, build_certain_face_map, build_face_map
 from repro.geometry.grid import Grid
 from repro.oracle.geometry import verify_face_map
 from repro.oracle.matching import (
@@ -551,19 +554,119 @@ def _check_heuristic(
             np.stack(vectors)
         )
         n_checks += 1
-        for r, (got, want) in enumerate(zip(batched, results)):
-            if _result_key(got) != _result_key(want):
-                divergences.append(
-                    {
-                        "check": "heuristic_climb",
-                        "invariant": "match_many",
-                        "gate": gate,
-                        "round": r,
-                        "batched": _jsonable(_result_key(got)),
-                        "per_round": _jsonable(_result_key(want)),
-                    }
+        if _match_many_diverges(batched, results, gate, divergences):
+            return n_checks
+    if spec.mode == "extended":
+        n_checks += _check_soft_climb(spec, world, vectors, divergences)
+    return n_checks
+
+
+def _match_many_diverges(batched: list, loop: list, gate: float, divergences: list) -> bool:
+    """Record the first row where trace-at-a-time ``match_many`` differs
+    from the ``match`` loop; True when one does."""
+    for r, (got, want) in enumerate(zip(batched, loop)):
+        if _result_key(got) != _result_key(want):
+            divergences.append(
+                {
+                    "check": "heuristic_climb",
+                    "invariant": "match_many",
+                    "gate": gate,
+                    "round": r,
+                    "batched": _jsonable(_result_key(got)),
+                    "per_round": _jsonable(_result_key(want)),
+                }
+            )
+            return True
+    return False
+
+
+#: Fallback gates of the soft climb: the ``fttt-extended`` tracker's
+#: default, and 0 (fall back on every inexact round).
+_SOFT_CLIMB_GATES = (8.0, 0.0)
+
+#: Near-tie probes appended to a soft trace (see :func:`_soft_trace`).
+_SOFT_PROBES = 4
+
+
+def _soft_trace(spec: FuzzSpec, face_map, vectors: list) -> np.ndarray:
+    """The trace's extended vectors plus near-tie probes.
+
+    A probe is the midpoint of two adjacent faces' soft signatures under
+    the ``*`` mask of a trace round: both faces are then equidistant up to
+    the float32 rounding of the probe, a gap inside the tie tolerance that
+    a too-narrow scan filter would split.
+    """
+    trace = np.stack(vectors)
+    src = np.repeat(np.arange(face_map.n_faces), np.diff(face_map.adj_indptr))
+    if len(src) == 0:
+        return trace
+    rng = np.random.default_rng([spec.seed, 0x50F7])
+    edges = rng.choice(len(src), size=min(len(src), _SOFT_PROBES), replace=False)
+    soft = face_map.soft_signatures.astype(float)
+    probes = (soft[src[edges]] + soft[face_map.adj_indices[edges]]) / 2.0
+    probes[np.isnan(trace[rng.integers(0, len(trace), len(edges))])] = np.nan
+    return np.vstack([trace, probes])
+
+
+def _check_soft_climb(spec: FuzzSpec, world: dict, vectors: list, divergences: list) -> int:
+    """``heuristic_climb`` on soft signatures (extended FTTT, §6).
+
+    On a view of the world's map with its soft signatures attached, for
+    the trace plus near-tie probes (:func:`_soft_trace`):
+
+    * every :class:`~repro.geometry.faces.TraceScan` scan resolves to the
+      ties and best value of ``best_faces(distances_to(v, soft=True))``;
+    * no scan or climb result lies below the oracle optimum minus
+      ``_extended_slack``;
+    * soft ``match_many`` equals the ``match`` loop bit for bit.
+    """
+    face_map = world["face_map"].view()
+    attach_soft_signatures(
+        face_map,
+        path_loss_exponent=spec.beta,
+        noise_sigma_dbm=spec.sigma,
+        resolution_dbm=spec.comparator_eps,
+        sensing_range=spec.sensing_range,
+    )
+    trace = _soft_trace(spec, face_map, vectors)
+    soft = face_map.soft_signatures.astype(float)
+    floors = []
+    for v in trace:
+        opt = min(oracle_masked_sq_distance(v, s) for s in soft)
+        floors.append(opt - _extended_slack(opt))
+
+    def diverge(invariant: str, gate, r: int, **detail) -> int:
+        divergences.append(
+            {"check": "heuristic_climb", "invariant": invariant, "gate": gate, "round": r, **detail}
+        )
+        return n_checks
+
+    n_checks = 1
+    scan = TraceScan(face_map, trace, soft=True)
+    for r, v in enumerate(trace):
+        ties, best = face_map.best_faces(*scan.scan(r))
+        want_ties, want_best = face_map.best_faces(face_map.distances_to(v, soft=True))
+        if not np.array_equal(ties, want_ties) or best != want_best:
+            return diverge(
+                "soft_scan", None, r,
+                face_ids=_jsonable(ties), sq_distance=best,
+                full_scan_ids=_jsonable(want_ties), full_scan_best=want_best,
+            )
+        if best < floors[r]:
+            return diverge("below_optimum", None, r, sq_distance=best, floor=floors[r])
+    for gate in _SOFT_CLIMB_GATES:
+        n_checks += 1
+        matcher = HeuristicMatcher(face_map, soft=True, fallback_sq_distance=gate)
+        loop = [matcher.match(v) for v in trace]
+        for r, res in enumerate(loop):
+            if res.sq_distance < floors[r]:
+                return diverge(
+                    "below_optimum", gate, r, sq_distance=float(res.sq_distance), floor=floors[r]
                 )
-                return n_checks
+        batched = HeuristicMatcher(face_map, soft=True, fallback_sq_distance=gate).match_many(trace)
+        n_checks += 1
+        if _match_many_diverges(batched, loop, gate, divergences):
+            return n_checks
     return n_checks
 
 

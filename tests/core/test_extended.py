@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
+from repro.config import GridConfig, SimulationConfig
 from repro.core.extended import attach_soft_signatures, expected_extended_signatures
 from repro.core.tracker import FTTTracker
+from repro.geometry.primitives import enumerate_pairs, pairwise_distances
+from repro.sim.scenario import make_scenario
 
 
 @pytest.fixture
@@ -122,3 +126,76 @@ class TestAttach:
         attach_soft_signatures(face_map, path_loss_exponent=4.0, noise_sigma_dbm=6.0)
         tracker = FTTTracker(face_map, mode="basic")
         assert not tracker.soft_signatures
+
+
+def _reference_signatures(
+    face_map, *, path_loss_exponent, noise_sigma_dbm, resolution_dbm=0.0, sensing_range=None
+):
+    """The attach as it was before ``log10`` was taken once per (cell,
+    node) and ``ndtr`` only where both nodes hear the cell, kept verbatim:
+    both log distances and the channel model at every (cell, pair), then
+    the sensing-range overrides."""
+    dist = pairwise_distances(face_map.grid.cell_centers, face_map.nodes)
+    i_idx, j_idx = enumerate_pairs(len(face_map.nodes))
+    counts = face_map.cell_counts.astype(np.float64)
+    out = np.empty((face_map.n_faces, len(i_idx)), dtype=np.float32)
+    denom = np.sqrt(2.0) * noise_sigma_dbm
+    for start in range(0, len(i_idx), 128):
+        stop = min(start + 128, len(i_idx))
+        di = dist[:, i_idx[start:stop]]
+        dj = dist[:, j_idx[start:stop]]
+        with np.errstate(divide="ignore"):
+            dmu = 10.0 * path_loss_exponent * (np.log10(dj) - np.log10(di))
+        if noise_sigma_dbm > 0:
+            vals = ndtr((dmu - resolution_dbm) / denom) - ndtr((-dmu - resolution_dbm) / denom)
+        else:
+            vals = np.sign(dmu) * (np.abs(dmu) > resolution_dbm)
+        if sensing_range is not None:
+            in_i = di <= sensing_range
+            in_j = dj <= sensing_range
+            vals = np.where(in_i & ~in_j, 1.0, vals)
+            vals = np.where(~in_i & in_j, -1.0, vals)
+            vals = np.where(~in_i & ~in_j, 0.0, vals)
+        width = stop - start
+        acc = np.bincount(
+            (face_map.cell_face[:, None] * width + np.arange(width)).ravel(),
+            weights=vals.ravel(),
+            minlength=face_map.n_faces * width,
+        ).reshape(face_map.n_faces, width)
+        out[:, start:stop] = (acc / counts[:, None]).astype(np.float32)
+    return out
+
+
+@pytest.fixture(scope="module", params=[10, 40], ids=["n10", "n40"])
+def raster_map(request):
+    cfg = SimulationConfig(n_sensors=request.param, grid=GridConfig(cell_size_m=2.0))
+    return make_scenario(cfg, seed=31).face_map
+
+
+class TestBitIdenticalToReference:
+    """The attach's float32 bit patterns equal the reference's."""
+
+    @pytest.mark.parametrize("sensing_range", [None, 40.0, 25.0])
+    @pytest.mark.parametrize(
+        "sigma,resolution", [(6.0, 1.0), (0.0, 1.0), (6.0, 0.0), (0.0, 0.0)]
+    )
+    def test_bits(self, raster_map, sensing_range, sigma, resolution):
+        kw = dict(
+            path_loss_exponent=4.0,
+            noise_sigma_dbm=sigma,
+            resolution_dbm=resolution,
+            sensing_range=sensing_range,
+        )
+        got = expected_extended_signatures(raster_map, **kw)
+        want = _reference_signatures(raster_map, **kw)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    def test_node_on_a_cell_centre(self, face_map):
+        """A zero distance (log10 = -inf) takes the same path as before."""
+        fm = face_map.replace(nodes=np.vstack([face_map.grid.cell_centers[:1], face_map.nodes[1:]]))
+        for sensing_range in (None, 30.0):
+            kw = dict(path_loss_exponent=3.0, noise_sigma_dbm=4.0, sensing_range=sensing_range)
+            with np.errstate(invalid="ignore"):
+                got = expected_extended_signatures(fm, **kw)
+                want = _reference_signatures(fm, **kw)
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))

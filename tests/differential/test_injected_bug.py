@@ -10,6 +10,7 @@ campaign runs clean again.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,11 +140,31 @@ def test_trace_fallback_tie_bug_is_caught(monkeypatch, tmp_path):
 
     original = ExhaustiveMatcher.match_row
 
-    def first_tie_only(self, d2):
-        res = original(self, d2)
+    def first_tie_only(self, d2, face_ids=None):
+        res = original(self, d2, face_ids)
         return self._result(res.face_ids[:1], res.sq_distance)
 
     monkeypatch.setattr(ExhaustiveMatcher, "match_row", first_tie_only)
     summary = run_fuzz(N_SCENARIOS, artifact_dir=tmp_path, **CAMPAIGN)
     assert summary["n_divergent"] > 0
     assert summary["first_divergence"]["check"] == "heuristic_climb"
+
+
+def test_narrowed_soft_scan_filter_is_caught(monkeypatch, tmp_path):
+    """A trace-scan filter whose candidate window is 10^3 times narrower
+    than its error bound must split the near-ties the soft
+    ``heuristic_climb`` checks compare against the full scan."""
+    from repro.geometry.faces import TraceScan
+
+    original = TraceScan.limit
+
+    def narrowed(self, approx_min, vsq):
+        return approx_min + (original(self, approx_min, vsq) - approx_min) / 1e3
+
+    monkeypatch.setattr(TraceScan, "limit", narrowed)
+    summary = run_fuzz(N_SCENARIOS, artifact_dir=tmp_path, shrink=False, **CAMPAIGN)
+    assert summary["n_divergent"] > 0
+    first = summary["first_divergence"]
+    assert first["check"] == "heuristic_climb"
+    artifact = json.loads(Path(first["artifact"]).read_text())
+    assert artifact["divergence"]["invariant"] == "soft_scan"
