@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.baselines.sequences import sign_vector_from_rss, sign_vectors_from_rss
 from repro.core.matching import ExhaustiveMatcher
-from repro.core.tracker import TrackEstimate, TrackResult, stack_trace
+from repro.core.tracker import RoundTracker, TrackEstimate, TrackResult
 from repro.geometry.faces import FaceMap
 from repro.geometry.primitives import enumerate_pairs
 from repro.obs import metrics as obs
@@ -25,7 +25,7 @@ from repro.rf.channel import SampleBatch, n_reporting
 __all__ = ["DirectMLETracker"]
 
 
-class DirectMLETracker:
+class DirectMLETracker(RoundTracker):
     """Independent per-round sequence matching over the certain face map.
 
     Parameters
@@ -37,10 +37,15 @@ class DirectMLETracker:
         reading — while ``"last"`` replicates literal one-shot sensing.
     """
 
+    #: obs counter of the rounds :meth:`localize` matches; ``None`` for a
+    #: subclass that counts its rounds under its own name
+    _localize_counter: "str | None" = "baselines.direct_mle.rounds"
+
     def __init__(self, face_map: FaceMap, *, reduce: str = "mean") -> None:
         if reduce not in ("mean", "last"):
             raise ValueError(f"unknown reduce {reduce!r}")
         self.face_map = face_map
+        self.n_sensors = face_map.n_nodes
         self.reduce = reduce
         self._pairs = enumerate_pairs(face_map.n_nodes)
         self._matcher = ExhaustiveMatcher(face_map)
@@ -48,21 +53,16 @@ class DirectMLETracker:
     def build_vector(self, rss: np.ndarray) -> np.ndarray:
         return sign_vector_from_rss(rss, self._pairs, reduce=self.reduce)
 
-    def localize(self, rss: np.ndarray, t: float = 0.0) -> TrackEstimate:
-        rss = np.atleast_2d(np.asarray(rss, dtype=float))
-        if rss.shape[1] != self.face_map.n_nodes:
-            raise ValueError(
-                f"rss has {rss.shape[1]} sensors but the face map expects "
-                f"{self.face_map.n_nodes}"
-            )
-        match = self._matcher.match(self.build_vector(rss))
-        if obs.enabled():
-            obs.counter("baselines.direct_mle.rounds").inc()
-        return TrackEstimate.from_match(t, match, n_reporting(rss))
+    def build_vectors(self, rss_stack: np.ndarray) -> np.ndarray:
+        """``(T, k, n)`` round stack -> ``(T, P)`` sign vectors."""
+        return sign_vectors_from_rss(rss_stack, self._pairs, reduce=self.reduce)
 
-    def localize_batch(self, batch: SampleBatch, t: "float | None" = None) -> TrackEstimate:
-        t0 = float(batch.times[0]) if t is None else t
-        return self.localize(batch.rss, t=t0)
+    def localize(self, rss: np.ndarray, t: float = 0.0) -> TrackEstimate:
+        rss = self.check_round(rss)
+        match = self._matcher.match(self.build_vector(rss))
+        if self._localize_counter is not None and obs.enabled():
+            obs.counter(self._localize_counter).inc()
+        return TrackEstimate.from_match(t, match, n_reporting(rss))
 
     def track(self, batches: Iterable[SampleBatch]) -> TrackResult:
         """Localize the whole trace in one batched kernel call.
@@ -72,16 +72,12 @@ class DirectMLETracker:
         GEMM match — bit-identical to a :meth:`localize` loop.
         """
         batches = list(batches)
-        rss = stack_trace(batches, self.face_map.n_nodes)
-        vectors = sign_vectors_from_rss(rss, self._pairs, reduce=self.reduce)
-        matches = self._matcher.match_many(vectors)
+        rss = self.stack_trace(batches)
+        matches = self._matcher.match_many(self.build_vectors(rss))
         if obs.enabled():
             obs.counter("baselines.direct_mle.rounds").inc(len(batches))
-        result = TrackResult()
-        for batch, match, n_rep in zip(batches, matches, n_reporting(rss)):
-            est = TrackEstimate.from_match(float(batch.times[0]), match, n_rep)
-            result.append(est, batch.mean_position)
-        return result
-
-    def reset(self) -> None:
-        """Stateless; present for tracker-interface parity."""
+        estimates = [
+            TrackEstimate.from_match(float(batch.times[0]), match, n_rep)
+            for batch, match, n_rep in zip(batches, matches, n_reporting(rss))
+        ]
+        return TrackResult.from_rounds(estimates, batches)

@@ -98,22 +98,7 @@ class KalmanTracker(RoundTracker):
             self._update(z)
         self._last_t = t0
         pos = np.clip(self._state[:2], 0.0, self.field_size)
-        return TrackEstimate(
-            t=t0,
-            position=pos.copy(),
-            face_ids=np.array([-1]),
-            sq_distance=float("nan"),
-            n_reporting=fix.n_reporting,
-            visited_faces=fix.visited_faces,
-        )
-
-    def localize(self, rss: np.ndarray, t: float = 0.0) -> TrackEstimate:
-        batch = SampleBatch(
-            rss=np.atleast_2d(np.asarray(rss, dtype=float)),
-            times=np.array([t]) if np.atleast_2d(rss).shape[0] == 1 else t + 0.1 * np.arange(np.atleast_2d(rss).shape[0]),
-            positions=np.zeros((np.atleast_2d(rss).shape[0], 2)),
-        )
-        return self.localize_batch(batch, t=t)
+        return TrackEstimate.faceless(t0, pos.copy(), fix.n_reporting, fix.visited_faces)
 
     def reset(self) -> None:
         self._state = None

@@ -19,13 +19,10 @@ class NearestNodeTracker(RoundTracker):
 
     def __init__(self, nodes: np.ndarray) -> None:
         self.nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
+        self.n_sensors = len(self.nodes)
 
     def localize(self, rss: np.ndarray, t: float = 0.0) -> TrackEstimate:
-        rss = np.atleast_2d(np.asarray(rss, dtype=float))
-        if rss.shape[1] != len(self.nodes):
-            raise ValueError(
-                f"rss has {rss.shape[1]} sensors but the tracker knows {len(self.nodes)}"
-            )
+        rss = self.check_round(rss)
         mean_rss = group_mean(rss)
         if np.isnan(mean_rss).all():
             position = self.nodes.mean(axis=0)  # nobody heard anything
@@ -33,11 +30,4 @@ class NearestNodeTracker(RoundTracker):
         else:
             loudest = int(np.nanargmax(mean_rss))
             position = self.nodes[loudest].copy()
-        return TrackEstimate(
-            t=t,
-            position=position,
-            face_ids=np.array([loudest]),
-            sq_distance=float("nan"),
-            n_reporting=n_reporting(rss),
-            visited_faces=0,
-        )
+        return TrackEstimate.faceless(t, position, n_reporting(rss), face_id=loudest)

@@ -53,6 +53,7 @@ class ParticleFilterTracker(RoundTracker):
         seed: "int | np.random.Generator | None" = 0,
     ) -> None:
         self.nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
+        self.n_sensors = len(self.nodes)
         self.pathloss = pathloss
         if noise_sigma_dbm <= 0:
             raise ValueError(f"noise sigma must be positive, got {noise_sigma_dbm}")
@@ -127,6 +128,7 @@ class ParticleFilterTracker(RoundTracker):
 
     def localize_batch(self, batch: SampleBatch, t: "float | None" = None) -> TrackEstimate:
         t0 = float(batch.times[0]) if t is None else t
+        rss = self.check_round(batch.rss)
         if self._pos is None:
             self._init_particles()
         else:
@@ -134,7 +136,7 @@ class ParticleFilterTracker(RoundTracker):
             self._propagate(dt)
         self._last_t = t0
 
-        loglik = self._log_likelihood(batch.rss)
+        loglik = self._log_likelihood(rss)
         loglik -= loglik.max()
         w = self._weights * np.exp(loglik)
         total = w.sum()
@@ -149,23 +151,9 @@ class ParticleFilterTracker(RoundTracker):
         else:
             estimate = (self._pos * self._weights[:, None]).sum(axis=0)
 
-        return TrackEstimate(
-            t=t0,
-            position=np.clip(estimate, 0.0, self.field_size),
-            face_ids=np.array([-1]),
-            sq_distance=float("nan"),
-            n_reporting=n_reporting(batch.rss),
-            visited_faces=self.n_particles,
+        return TrackEstimate.faceless(
+            t0, np.clip(estimate, 0.0, self.field_size), n_reporting(rss), self.n_particles
         )
-
-    def localize(self, rss: np.ndarray, t: float = 0.0) -> TrackEstimate:
-        rss = np.atleast_2d(np.asarray(rss, dtype=float))
-        batch = SampleBatch(
-            rss=rss,
-            times=t + 0.1 * np.arange(rss.shape[0]),
-            positions=np.zeros((rss.shape[0], 2)),
-        )
-        return self.localize_batch(batch, t=t)
 
     def reset(self) -> None:
         self._pos = None

@@ -18,19 +18,20 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.baselines.sequences import sign_vector_from_rss, sign_vectors_from_rss
-from repro.core.matching import ExhaustiveMatcher
-from repro.core.tracker import TrackEstimate, TrackResult, stack_trace
+from repro.baselines.direct_mle import DirectMLETracker
+from repro.core.tracker import TrackEstimate, TrackResult
 from repro.geometry.faces import FaceMap
-from repro.geometry.primitives import enumerate_pairs
 from repro.obs import metrics as obs
 from repro.rf.channel import SampleBatch, n_reporting
 
 __all__ = ["PathMatchingTracker"]
 
 
-class PathMatchingTracker:
+class PathMatchingTracker(DirectMLETracker):
     """Viterbi path matching over the certain face map.
+
+    Per-round sign vectors and single-round :meth:`localize` are Direct
+    MLE's (one round has no path); :meth:`track` decodes the whole trace.
 
     Parameters
     ----------
@@ -43,6 +44,9 @@ class PathMatchingTracker:
         the reachable radius (soft constraint; decoding never dead-ends).
     unreachable_penalty : cap on the per-transition penalty.
     """
+
+    # PM's rounds count under ``baselines.pm.*``, from track() only
+    _localize_counter = None
 
     def __init__(
         self,
@@ -60,35 +64,14 @@ class PathMatchingTracker:
             raise ValueError(f"beam width must be >= 1, got {beam_width}")
         if penalty_per_m < 0 or unreachable_penalty < 0:
             raise ValueError("penalties must be non-negative")
-        if reduce not in ("mean", "last"):
-            raise ValueError(f"unknown reduce {reduce!r}")
-        self.face_map = face_map
+        super().__init__(face_map, reduce=reduce)
         self.vmax_mps = vmax_mps
         self.beam_width = beam_width
-        self.reduce = reduce
         self.penalty_per_m = penalty_per_m
         self.unreachable_penalty = unreachable_penalty
-        self._pairs = enumerate_pairs(face_map.n_nodes)
-        self._matcher = ExhaustiveMatcher(face_map)
         # equivalent face radius: how far inside a face the target may sit
         areas = face_map.cell_counts * face_map.grid.cell_size**2
         self._face_radius = np.sqrt(areas / np.pi)
-
-    # -- per-round machinery -------------------------------------------------
-
-    def build_vector(self, rss: np.ndarray) -> np.ndarray:
-        return sign_vector_from_rss(rss, self._pairs, reduce=self.reduce)
-
-    def localize(self, rss: np.ndarray, t: float = 0.0) -> TrackEstimate:
-        """Single-round localization (degenerates to Direct MLE: no path)."""
-        rss = np.atleast_2d(np.asarray(rss, dtype=float))
-        if rss.shape[1] != self.face_map.n_nodes:
-            raise ValueError(
-                f"rss has {rss.shape[1]} sensors but the face map expects "
-                f"{self.face_map.n_nodes}"
-            )
-        match = self._matcher.match(self.build_vector(rss))
-        return TrackEstimate.from_match(t, match, n_reporting(rss))
 
     # -- path decoding ---------------------------------------------------------
 
@@ -155,19 +138,12 @@ class PathMatchingTracker:
     def track(self, batches: Iterable[SampleBatch]) -> TrackResult:
         """Offline optimal-path decoding over the whole trace."""
         batches = list(batches)
-        rss = stack_trace(batches, self.face_map.n_nodes)
-        vectors = sign_vectors_from_rss(rss, self._pairs, reduce=self.reduce)
+        rss = self.stack_trace(batches)
         times = np.array([float(b.times[0]) for b in batches])
-        estimates = self._decode(times, vectors, n_reporting(rss))
+        estimates = self._decode(times, self.build_vectors(rss), n_reporting(rss))
         if obs.enabled():
             obs.counter("baselines.pm.rounds").inc(len(estimates))
             obs.histogram("baselines.pm.beam_width").observe(
                 min(self.beam_width, self.face_map.n_faces)
             )
-        result = TrackResult()
-        for est, batch in zip(estimates, batches):
-            result.append(est, batch.mean_position)
-        return result
-
-    def reset(self) -> None:
-        """Stateless between track() calls."""
+        return TrackResult.from_rounds(estimates, batches)

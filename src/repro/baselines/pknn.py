@@ -31,6 +31,7 @@ class PkNNTracker(RoundTracker):
 
     def __init__(self, nodes: np.ndarray, *, k_neighbors: int = 4, min_prob: float = 0.05) -> None:
         self.nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
+        self.n_sensors = len(self.nodes)
         if k_neighbors < 1:
             raise ValueError(f"k_neighbors must be >= 1, got {k_neighbors}")
         if not (0.0 <= min_prob < 1.0):
@@ -57,11 +58,7 @@ class PkNNTracker(RoundTracker):
         return votes / valid_samples
 
     def localize(self, rss: np.ndarray, t: float = 0.0) -> TrackEstimate:
-        rss = np.atleast_2d(np.asarray(rss, dtype=float))
-        if rss.shape[1] != len(self.nodes):
-            raise ValueError(
-                f"rss has {rss.shape[1]} sensors but the tracker knows {len(self.nodes)}"
-            )
+        rss = self.check_round(rss)
         probs = self.membership_probabilities(rss)
         candidates = probs > self.min_prob
         if not candidates.any():
@@ -69,11 +66,4 @@ class PkNNTracker(RoundTracker):
         else:
             w = probs[candidates]
             position = (self.nodes[candidates] * w[:, None]).sum(axis=0) / w.sum()
-        return TrackEstimate(
-            t=t,
-            position=position,
-            face_ids=np.array([-1]),
-            sq_distance=float("nan"),
-            n_reporting=n_reporting(rss),
-            visited_faces=0,
-        )
+        return TrackEstimate.faceless(t, position, n_reporting(rss))

@@ -41,6 +41,7 @@ class RangeMLETracker(RoundTracker):
         min_sensors: int = 3,
     ) -> None:
         self.nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
+        self.n_sensors = len(self.nodes)
         self.pathloss = pathloss
         self.field_size = field_size
         if min_sensors < 1:
@@ -74,18 +75,6 @@ class RangeMLETracker(RoundTracker):
         return sol.x
 
     def localize(self, rss: np.ndarray, t: float = 0.0) -> TrackEstimate:
-        rss = np.atleast_2d(np.asarray(rss, dtype=float))
-        if rss.shape[1] != len(self.nodes):
-            raise ValueError(
-                f"rss has {rss.shape[1]} sensors but the tracker knows {len(self.nodes)}"
-            )
+        rss = self.check_round(rss)
         mean_rss = group_mean(rss)
-        position = self._estimate(mean_rss)
-        return TrackEstimate(
-            t=t,
-            position=position,
-            face_ids=np.array([-1]),  # no face semantics for a range method
-            sq_distance=float("nan"),
-            n_reporting=n_reporting(rss),
-            visited_faces=0,
-        )
+        return TrackEstimate.faceless(t, self._estimate(mean_rss), n_reporting(rss))

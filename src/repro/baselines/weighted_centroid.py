@@ -28,16 +28,13 @@ class WeightedCentroidTracker(RoundTracker):
 
     def __init__(self, nodes: np.ndarray, *, exponent: float = 1.0) -> None:
         self.nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
+        self.n_sensors = len(self.nodes)
         if exponent <= 0:
             raise ValueError(f"exponent must be positive, got {exponent}")
         self.exponent = exponent
 
     def localize(self, rss: np.ndarray, t: float = 0.0) -> TrackEstimate:
-        rss = np.atleast_2d(np.asarray(rss, dtype=float))
-        if rss.shape[1] != len(self.nodes):
-            raise ValueError(
-                f"rss has {rss.shape[1]} sensors but the tracker knows {len(self.nodes)}"
-            )
+        rss = self.check_round(rss)
         mean_rss = group_mean(rss)
         heard = ~np.isnan(mean_rss)
         if not heard.any():
@@ -49,11 +46,4 @@ class WeightedCentroidTracker(RoundTracker):
             weights = (10.0 ** (rel / 10.0)) ** self.exponent
             weights = np.maximum(weights, 1e-12)
             position = (self.nodes[heard] * weights[:, None]).sum(axis=0) / weights.sum()
-        return TrackEstimate(
-            t=t,
-            position=position,
-            face_ids=np.array([-1]),
-            sq_distance=float("nan"),
-            n_reporting=int(heard.sum()),
-            visited_faces=0,
-        )
+        return TrackEstimate.faceless(t, position, int(heard.sum()))

@@ -39,8 +39,6 @@ class HeuristicMatcher:
     fallback_sq_distance : quality gate for the fallback, in squared
         vector-distance units.  The default of 4.0 tolerates up to two
         single-step component errors before falling back.
-    max_steps : hard bound on hill-climb moves (defensive; the climb is
-        strictly improving so it always terminates anyway).
 
     Obs counters: ``core.heuristic.{rounds,fallbacks,init_scans,steps,visited}``
     for climbs on qualitative signatures, the same names under
@@ -55,20 +53,16 @@ class HeuristicMatcher:
         hops: int = 2,
         fallback: bool = True,
         fallback_sq_distance: float = 4.0,
-        max_steps: int = 100_000,
     ) -> None:
         if hops not in (1, 2):
             raise ValueError(f"hops must be 1 or 2, got {hops}")
         if fallback_sq_distance < 0:
             raise ValueError(f"fallback gate must be non-negative, got {fallback_sq_distance}")
-        if max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {max_steps}")
         self.face_map = face_map
         self.soft = soft
         self.hops = hops
         self.fallback = fallback
         self.fallback_sq_distance = fallback_sq_distance
-        self.max_steps = max_steps
         self._exhaustive = ExhaustiveMatcher(face_map, soft=soft)
         self._last_face: int | None = None
 
@@ -141,7 +135,8 @@ class HeuristicMatcher:
         current_d2 = float(self._sq_distance_to_faces(vector, np.array([current]))[0])
         visited = 1
         steps = 0
-        for _ in range(self.max_steps):
+        # each move strictly lowers the distance, so the climb terminates
+        while True:
             nbrs = fm.neighbors(current)
             if self.hops == 2 and len(nbrs):
                 # widen the step to the 2-hop neighborhood: single-face

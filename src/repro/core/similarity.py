@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["vector_difference", "sq_distance", "similarity", "similarity_matrix"]
+__all__ = ["vector_difference", "sq_distance", "similarity"]
 
 
 def vector_difference(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
@@ -43,31 +43,3 @@ def similarity(v1: np.ndarray, v2: np.ndarray) -> float:
     if d2 == 0.0:
         return float("inf")
     return 1.0 / float(np.sqrt(d2))
-
-
-def similarity_matrix(vectors: np.ndarray, signatures: np.ndarray) -> np.ndarray:
-    """Similarities between rows of *vectors* (Q, P) and *signatures* (F, P).
-
-    Vectorized batch form used by analysis code; NaN components of the
-    sampling vectors are masked per Eq. 7.  Exact matches map to ``inf``.
-    """
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-    signatures = np.atleast_2d(np.asarray(signatures, dtype=float))
-    if vectors.shape[1] != signatures.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: vectors {vectors.shape} vs signatures {signatures.shape}"
-        )
-    v = np.where(np.isnan(vectors), 0.0, vectors)
-    mask = (~np.isnan(vectors)).astype(float)  # (Q, P)
-    # d2[q, f] = sum_p mask[q,p] * (v[q,p] - s[f,p])^2
-    #         = sum v^2*mask - 2 * (v*mask) @ s.T + mask @ (s^2).T
-    v2 = (v * v * mask).sum(axis=1)[:, None]
-    cross = (v * mask) @ signatures.T
-    s2 = mask @ (signatures * signatures).T
-    d2 = v2 - 2.0 * cross + s2
-    # the expansion cancels catastrophically for (near-)identical vectors;
-    # snap anything below float-noise scale to an exact match
-    tol = 1e-9 * np.maximum(v2 + s2, 1.0)
-    d2 = np.where(d2 < tol, 0.0, d2)
-    with np.errstate(divide="ignore"):
-        return np.where(d2 > 0.0, 1.0 / np.sqrt(d2), np.inf)

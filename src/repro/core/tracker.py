@@ -34,7 +34,6 @@ __all__ = [
     "RoundTracker",
     "TrackEstimate",
     "TrackResult",
-    "stack_trace",
 ]
 
 Mode = Literal["basic", "extended"]
@@ -127,6 +126,30 @@ class TrackEstimate:
             visited_faces=match.visited,
         )
 
+    @classmethod
+    def faceless(
+        cls,
+        t: float,
+        position: np.ndarray,
+        n_reporting: int,
+        visited_faces: int = 0,
+        *,
+        face_id: int = -1,
+    ) -> "TrackEstimate":
+        """The estimate of a tracker that matches no face: a NaN distance.
+
+        ``face_ids`` is ``[-1]``; nearest-node gives the index of the
+        loudest sensor (its Voronoi cell) as *face_id*.
+        """
+        return cls(
+            t=t,
+            position=position,
+            face_ids=np.array([face_id]),
+            sq_distance=float("nan"),
+            n_reporting=n_reporting,
+            visited_faces=visited_faces,
+        )
+
     @property
     def similarity(self) -> float:
         if self.sq_distance == 0.0:
@@ -140,6 +163,16 @@ class TrackResult:
 
     estimates: list[TrackEstimate] = field(default_factory=list)
     true_positions: list[np.ndarray] = field(default_factory=list)
+
+    @classmethod
+    def from_rounds(
+        cls, estimates: Iterable[TrackEstimate], batches: "list[SampleBatch]"
+    ) -> "TrackResult":
+        """A trace's result: each round's estimate beside its batch's truth."""
+        result = cls()
+        for est, batch in zip(estimates, batches):
+            result.append(est, batch.mean_position)
+        return result
 
     def append(self, estimate: TrackEstimate, true_position: np.ndarray) -> None:
         self.estimates.append(estimate)
@@ -186,33 +219,54 @@ class TrackResult:
         return len(self.estimates)
 
 
-def stack_trace(batches: "list[SampleBatch]", n_sensors: int) -> np.ndarray:
-    """The ``(T, k, n)`` RSS stack of a trace, for the trace-at-a-time trackers.
-
-    Every round must share one ``(k, n)`` shape with ``n == n_sensors``;
-    a ragged trace or a wrong sensor count raises ``ValueError``.  An empty
-    trace stacks as ``(0, 1, n_sensors)``.
-    """
-    if not batches:
-        return np.empty((0, 1, n_sensors))
-    # np.stack raises ValueError when the rounds differ in shape
-    rss = np.stack([np.asarray(b.rss, dtype=float) for b in batches])
-    if rss.shape[2] != n_sensors:
-        raise ValueError(f"rss has {rss.shape[2]} sensors but the tracker expects {n_sensors}")
-    return rss
-
-
 class RoundTracker:
-    """Base of the trackers that localize a trace one round at a time.
+    """Base of every tracker: one round-input contract and one trace loop.
 
-    Subclasses implement :meth:`localize` (or :meth:`localize_batch`, when
-    a round needs its batch); :meth:`track` resets the tracker, then
-    localizes the trace round by round.  Stateless trackers keep the no-op
+    A tracker sets ``n_sensors`` and implements :meth:`localize` on a raw
+    ``(k, n)`` round, or :meth:`localize_batch` when a round needs its
+    sample times; each default calls the other.  Every round passes
+    :meth:`check_round` (a filter over another tracker's fixes leaves the
+    check to that tracker).  :meth:`track` resets the tracker, then localizes
+    the trace round by round; trace-at-a-time trackers override it, stack
+    the trace with :meth:`stack_trace` and assemble the result with
+    :meth:`TrackResult.from_rounds`.  Stateless trackers keep the no-op
     :meth:`reset`.
     """
 
+    n_sensors: int
+
+    def check_round(self, rss: np.ndarray) -> np.ndarray:
+        """One round as a float ``(k, n)`` array; a sensor count other
+        than ``n_sensors`` raises ``ValueError``."""
+        rss = np.atleast_2d(np.asarray(rss, dtype=float))
+        if rss.shape[1] != self.n_sensors:
+            raise ValueError(
+                f"rss has {rss.shape[1]} sensors but the tracker expects {self.n_sensors}"
+            )
+        return rss
+
+    def stack_trace(self, batches: "list[SampleBatch]") -> np.ndarray:
+        """The ``(T, k, n)`` RSS stack of a trace, for the trace-at-a-time trackers.
+
+        Every round passes :meth:`check_round` and all rounds must share
+        one shape; a ragged trace raises ``ValueError``.  An empty trace
+        stacks as ``(0, 1, n_sensors)``.
+        """
+        if not batches:
+            return np.empty((0, 1, self.n_sensors))
+        # np.stack raises ValueError when the rounds differ in shape
+        return np.stack([self.check_round(b.rss) for b in batches])
+
     def localize(self, rss: np.ndarray, t: float = 0.0) -> TrackEstimate:
-        raise NotImplementedError
+        """Localize one raw ``(k, n)`` round (NaN = missing).
+
+        The default serves trackers that implement :meth:`localize_batch`:
+        it wraps the round in a batch whose samples are 0.1 s apart from *t*.
+        """
+        rss = np.atleast_2d(np.asarray(rss, dtype=float))
+        k = len(rss)
+        batch = SampleBatch(rss=rss, times=t + 0.1 * np.arange(k), positions=np.zeros((k, 2)))
+        return self.localize_batch(batch, t=t)
 
     def localize_batch(self, batch: SampleBatch, t: "float | None" = None) -> TrackEstimate:
         """Localize from a :class:`~repro.rf.channel.SampleBatch`."""
@@ -222,16 +276,14 @@ class RoundTracker:
     def track(self, batches: Iterable[SampleBatch]) -> TrackResult:
         """Reset, then localize every round of the trace in order."""
         self.reset()
-        result = TrackResult()
-        for batch in batches:
-            result.append(self.localize_batch(batch), batch.mean_position)
-        return result
+        batches = list(batches)
+        return TrackResult.from_rounds([self.localize_batch(b) for b in batches], batches)
 
     def reset(self) -> None:
         """Stateless; nothing to clear."""
 
 
-class FTTTracker:
+class FTTTracker(RoundTracker):
     """The Fault-Tolerant Target-Tracking strategy.
 
     Parameters
@@ -255,7 +307,6 @@ class FTTTracker:
         mode: Mode = "basic",
         matcher: MatcherKind = "heuristic",
         comparator_eps: float = 0.0,
-        heuristic_fallback: bool = True,
         soft_signatures: "bool | None" = None,
         degradation: "DegradationPolicy | None" = None,
     ) -> None:
@@ -264,6 +315,7 @@ class FTTTracker:
         if matcher not in ("heuristic", "exhaustive"):
             raise ValueError(f"unknown matcher {matcher!r}")
         self.face_map = face_map
+        self.n_sensors = face_map.n_nodes
         self.mode: Mode = mode
         self.comparator_eps = comparator_eps
         self._pairs = enumerate_pairs(face_map.n_nodes)
@@ -284,7 +336,6 @@ class FTTTracker:
             self.matcher: "HeuristicMatcher | ExhaustiveMatcher" = HeuristicMatcher(
                 face_map,
                 soft=self.soft_signatures,
-                fallback=heuristic_fallback,
                 fallback_sq_distance=gate,
             )
         else:
@@ -317,12 +368,7 @@ class FTTTracker:
 
     def localize(self, rss: np.ndarray, t: float = 0.0) -> TrackEstimate:
         """Localize from a raw ``(k, n)`` RSS matrix (NaN = missing)."""
-        rss = np.atleast_2d(np.asarray(rss, dtype=float))
-        if rss.shape[1] != self.face_map.n_nodes:
-            raise ValueError(
-                f"rss has {rss.shape[1]} sensors but the face map was built "
-                f"for {self.face_map.n_nodes}"
-            )
+        rss = self.check_round(rss)
         return self._match_round(self.build_vector(rss), rss, n_reporting(rss), t)
 
     def _match_round(
@@ -510,11 +556,6 @@ class FTTTracker:
             visited_faces=est.visited_faces,
         )
 
-    def localize_batch(self, batch: SampleBatch, t: "float | None" = None) -> TrackEstimate:
-        """Localize from a :class:`~repro.rf.channel.SampleBatch`."""
-        t0 = float(batch.times[0]) if t is None else t
-        return self.localize(batch.rss, t=t0)
-
     # -- tracking -------------------------------------------------------------
 
     def track(self, batches: Iterable[SampleBatch]) -> TrackResult:
@@ -534,19 +575,20 @@ class FTTTracker:
         batches = list(batches)
         record = obs.enabled()
         t0 = time.perf_counter() if record else 0.0
-        rss = stack_trace(batches, self.face_map.n_nodes)
+        rss = self.stack_trace(batches)
         vectors = self.build_vectors(rss)
         matches = (
             self.matcher.match_many(vectors)
             if self.degradation is None
             else [None] * len(batches)
         )
-        result = TrackResult()
-        for batch, vector, rss_b, n_rep, match in zip(
-            batches, vectors, rss, n_reporting(rss), matches
-        ):
-            est = self._match_round(vector, rss_b, n_rep, float(batch.times[0]), match)
-            result.append(est, batch.mean_position)
+        estimates = [
+            self._match_round(vector, rss_b, n_rep, float(batch.times[0]), match)
+            for batch, vector, rss_b, n_rep, match in zip(
+                batches, vectors, rss, n_reporting(rss), matches
+            )
+        ]
+        result = TrackResult.from_rounds(estimates, batches)
         if record:
             obs.histogram("tracker.track_seconds").observe(time.perf_counter() - t0)
         return result

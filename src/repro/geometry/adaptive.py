@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.geometry.apollonius import classify_points_pairwise
-from repro.geometry.faces import FaceMap, _build_adjacency, _faces_from_signatures
+from repro.geometry.faces import FaceMap, _assemble_face_map
 from repro.geometry.grid import Grid
 from repro.geometry.primitives import enumerate_pairs
 
@@ -151,21 +151,7 @@ def build_adaptive_face_map(
             offset += count
 
     cell_sigs = fine_sigs.reshape(fine.n_cells, n_pairs)
-    signatures, centroids, cell_face, counts = _faces_from_signatures(
-        cell_sigs, fine, split_components
-    )
-    indptr, indices = _build_adjacency(cell_face, fine, len(signatures))
-    face_map = FaceMap(
-        nodes=nodes,
-        grid=fine,
-        c=c,
-        signatures=signatures,
-        centroids=centroids,
-        cell_face=cell_face,
-        cell_counts=counts,
-        adj_indptr=indptr,
-        adj_indices=indices,
-    )
+    face_map = _assemble_face_map(nodes, fine, c, cell_sigs, split_components)
     stats = AdaptiveDivisionStats(
         coarse_cells=coarse.n_cells,
         uniform_cells=int(uniform.sum()),

@@ -594,17 +594,9 @@ def _faces_from_signatures(
     if split_components:
         a, b = grid.neighbor_pairs()
         face_ids = label_equal_regions(sig_ids, a, b)
-        n_faces = int(face_ids.max()) + 1 if len(face_ids) else 0
-        # representative signature per face
-        first_cell = np.full(n_faces, -1, dtype=np.int64)
-        seen = np.zeros(n_faces, dtype=bool)
-        order = np.arange(len(face_ids))
-        # first occurrence of each face id
-        uniq, first_idx = np.unique(face_ids, return_index=True)
-        first_cell[uniq] = order[first_idx]
-        seen[uniq] = True
-        if not seen.all():
-            raise AssertionError("face labelling produced unused labels")
+        # labels are contiguous from 0: each face's first cell carries its signature
+        first_cell = np.unique(face_ids, return_index=True)[1]
+        n_faces = len(first_cell)
         face_rows = cell_sigs[first_cell]
     else:
         face_ids = sig_ids

@@ -144,16 +144,5 @@ def run_model_tracking(
             v = sampler.sample_group_vector(p, rng)
         else:
             v = sampler.sample_oneshot_vector(p, rng)
-        match = m.match(v)
-        result.append(
-            TrackEstimate(
-                t=float(t),
-                position=match.position,
-                face_ids=match.face_ids,
-                sq_distance=match.sq_distance,
-                n_reporting=len(sampler.nodes),
-                visited_faces=match.visited,
-            ),
-            p,
-        )
+        result.append(TrackEstimate.from_match(float(t), m.match(v), len(sampler.nodes)), p)
     return result

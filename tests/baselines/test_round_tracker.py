@@ -1,8 +1,10 @@
-"""The round-by-round baselines share one ``track`` loop.
+"""Every tracker keeps the ``RoundTracker`` contract.
 
 ``RoundTracker.track`` resets the tracker and then localizes the trace
 round by round; for every baseline built on it that must equal a
-``reset()`` followed by a ``localize_batch`` loop, bit for bit.
+``reset()`` followed by a ``localize_batch`` loop, bit for bit.  Every
+tracker the scenario factory builds rejects a round with the wrong
+sensor count through the one shared check.
 """
 
 import numpy as np
@@ -16,9 +18,12 @@ from repro.baselines import (
     RangeMLETracker,
     WeightedCentroidTracker,
 )
+from repro.config import GridConfig, SimulationConfig
 from repro.core.tracker import RoundTracker
-from repro.rf.channel import RssChannel
+from repro.rf.channel import RssChannel, SampleBatch
 from repro.rf.pathloss import LogDistancePathLoss
+from repro.sim.runner import generate_batches
+from repro.sim.scenario import TRACKER_NAMES, make_scenario
 
 PATHLOSS = LogDistancePathLoss(exponent=4.0, p0_dbm=-40.0)
 
@@ -72,3 +77,31 @@ def test_track_is_reset_then_localize_batch_loop(four_nodes, name):
     expected = _reset_then_loop(looped, batches)
     assert [_key(e) for e in result.estimates] == [_key(e) for e in expected]
     assert np.array_equal(result.truth, np.stack([b.mean_position for b in batches]))
+
+
+@pytest.fixture(scope="module")
+def six_node_world():
+    cfg = SimulationConfig(n_sensors=6, duration_s=4.0, grid=GridConfig(cell_size_m=5.0))
+    scenario = make_scenario(cfg, seed=3)
+    return scenario, generate_batches(scenario, 1, n_rounds=2)
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+@pytest.mark.parametrize("name", TRACKER_NAMES)
+def test_wrong_sensor_count_rejected(six_node_world, name, delta):
+    scenario, batches = six_node_world
+    n = len(scenario.nodes)
+    bad = [
+        SampleBatch(
+            rss=np.hstack([b.rss, np.full((len(b.rss), 1), -60.0)])[:, : n + delta],
+            times=b.times,
+            positions=b.positions,
+        )
+        for b in batches
+    ]
+    tracker = scenario.make_tracker(name)
+    assert isinstance(tracker, RoundTracker)
+    with pytest.raises(ValueError, match="sensors"):
+        tracker.track(bad)
+    with pytest.raises(ValueError, match="sensors"):
+        tracker.localize(bad[0].rss)

@@ -84,8 +84,6 @@ class TestHeuristicMatcher:
     def test_validation(self, face_map):
         with pytest.raises(ValueError):
             HeuristicMatcher(face_map, fallback_sq_distance=-1.0)
-        with pytest.raises(ValueError):
-            HeuristicMatcher(face_map, max_steps=0)
 
     def test_visited_much_smaller_than_exhaustive_when_tracking(self, face_map):
         """The Algorithm 2 complexity claim: consecutive matching touches

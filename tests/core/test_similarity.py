@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.similarity import (
     similarity,
-    similarity_matrix,
     sq_distance,
     vector_difference,
 )
@@ -70,29 +69,3 @@ class TestSqDistance:
     def test_zero_for_equal(self):
         v = np.array([1.0, -1.0])
         assert sq_distance(v, v) == 0.0
-
-
-class TestSimilarityMatrix:
-    def test_matches_scalar_similarity(self, rng):
-        vectors = rng.choice([-1.0, 0.0, 1.0], size=(4, 8))
-        signatures = rng.choice([-1.0, 0.0, 1.0], size=(6, 8))
-        mat = similarity_matrix(vectors, signatures)
-        for q in range(4):
-            for f in range(6):
-                assert mat[q, f] == pytest.approx(similarity(vectors[q], signatures[f]))
-
-    def test_handles_nan_components(self):
-        vectors = np.array([[np.nan, 1.0]])
-        signatures = np.array([[1.0, 1.0], [1.0, -1.0]])
-        mat = similarity_matrix(vectors, signatures)
-        assert mat[0, 0] == float("inf")
-        assert mat[0, 1] == pytest.approx(0.5)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            similarity_matrix(np.zeros((2, 3)), np.zeros((2, 4)))
-
-    def test_no_negative_distances_from_rounding(self, rng):
-        v = rng.uniform(-1, 1, size=(10, 30))
-        mat = similarity_matrix(v, v)
-        assert np.all(np.isinf(np.diag(mat)))

@@ -67,6 +67,22 @@ SCENARIOS: dict[str, dict[str, Any]] = {
         ),
         "trackers": ["fttt", "fttt-robust", "fttt-zero"],
     },
+    # the fault-free world of ``baseline`` run through every tracker the
+    # other fixtures leave out: pins PM's Viterbi, the extended-mode soft
+    # signatures, and the range-based and filtering baselines
+    "field": {
+        "faults": None,
+        "trackers": [
+            "pm",
+            "fttt-extended",
+            "range-mle",
+            "pknn",
+            "weighted-centroid",
+            "kalman",
+            "particle",
+            "nearest",
+        ],
+    },
 }
 
 
