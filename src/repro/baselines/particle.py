@@ -12,6 +12,8 @@ related work describes.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from repro.core.tracker import RoundTracker, TrackEstimate
@@ -36,7 +38,8 @@ class ParticleFilterTracker(RoundTracker):
     sensing_range_m : sensors that heard nothing contribute a
         censored-likelihood term (target probably outside their range).
     resample_threshold : effective-sample-size fraction triggering resampling.
-    seed : RNG for propagation/resampling (private stream, reproducible).
+    seed : RNG for propagation/resampling (private stream, reproducible:
+        :meth:`reset` restarts it, so every trace draws the same stream).
     """
 
     def __init__(
@@ -67,11 +70,8 @@ class ParticleFilterTracker(RoundTracker):
         self.field_size = field_size
         self.sensing_range_m = sensing_range_m
         self.resample_threshold = resample_threshold
-        self._rng = ensure_rng(seed)
-        self._pos: np.ndarray | None = None  # (P, 2)
-        self._vel: np.ndarray | None = None  # (P, 2)
-        self._weights: np.ndarray | None = None
-        self._last_t: float | None = None
+        self._seed_rng = ensure_rng(seed)
+        self.reset()
 
     # -- internals ---------------------------------------------------------
 
@@ -156,7 +156,9 @@ class ParticleFilterTracker(RoundTracker):
         )
 
     def reset(self) -> None:
-        self._pos = None
-        self._vel = None
-        self._weights = None
-        self._last_t = None
+        """Forget the particles and restart the random stream from the seed."""
+        self._rng = copy.deepcopy(self._seed_rng)
+        self._pos: np.ndarray | None = None  # (P, 2)
+        self._vel: np.ndarray | None = None  # (P, 2)
+        self._weights: np.ndarray | None = None
+        self._last_t: float | None = None

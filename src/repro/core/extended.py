@@ -120,13 +120,19 @@ def attach_soft_signatures(
     resolution_dbm: float = 0.0,
     sensing_range: float | None = None,
 ) -> FaceMap:
-    """Compute and attach soft signatures to *face_map* (idempotent)."""
-    if face_map.soft_signatures is None:
-        face_map.soft_signatures = expected_extended_signatures(
+    """The soft-signature map of *face_map* under these channel parameters.
+
+    A new :class:`~repro.geometry.faces.FaceMap` sharing every array of
+    *face_map*, with its ``soft_signatures`` computed from the parameters
+    given; *face_map* itself is left unchanged.  Every scan of the new map
+    matches against the soft signatures.
+    """
+    return face_map.replace(
+        soft_signatures=expected_extended_signatures(
             face_map,
             path_loss_exponent=path_loss_exponent,
             noise_sigma_dbm=noise_sigma_dbm,
             resolution_dbm=resolution_dbm,
             sensing_range=sensing_range,
         )
-    return face_map
+    )

@@ -29,7 +29,8 @@ class HeuristicMatcher:
 
     Parameters
     ----------
-    face_map : the divided monitor area.
+    face_map : the divided monitor area; the climb and its scans match
+        against its soft signatures when it has them (extended FTTT).
     hops : search ring per climb step; 1 is Algorithm 2 verbatim, 2
         (default) also examines neighbors-of-neighbors, which escapes the
         single-face local optima noisy sampling vectors create while still
@@ -42,14 +43,14 @@ class HeuristicMatcher:
 
     Obs counters: ``core.heuristic.{rounds,fallbacks,init_scans,steps,visited}``
     for climbs on qualitative signatures, the same names under
-    ``core.heuristic.soft.`` for soft ones, whose fallback gate differs.
+    ``core.heuristic.soft.`` on a soft-signature map, whose fallback gate
+    differs.
     """
 
     def __init__(
         self,
         face_map: FaceMap,
         *,
-        soft: bool = False,
         hops: int = 2,
         fallback: bool = True,
         fallback_sq_distance: float = 4.0,
@@ -59,12 +60,16 @@ class HeuristicMatcher:
         if fallback_sq_distance < 0:
             raise ValueError(f"fallback gate must be non-negative, got {fallback_sq_distance}")
         self.face_map = face_map
-        self.soft = soft
         self.hops = hops
         self.fallback = fallback
         self.fallback_sq_distance = fallback_sq_distance
-        self._exhaustive = ExhaustiveMatcher(face_map, soft=soft)
+        self._exhaustive = ExhaustiveMatcher(face_map)
         self._last_face: int | None = None
+
+    @property
+    def soft(self) -> bool:
+        """True when the map carries soft signatures (extended FTTT)."""
+        return self.face_map.soft_signatures is not None
 
     @property
     def last_face(self) -> "int | None":
@@ -76,7 +81,7 @@ class HeuristicMatcher:
         self._last_face = None
 
     def _sq_distance_to_faces(self, vector: np.ndarray, face_ids: np.ndarray) -> np.ndarray:
-        sigs = self.face_map.signature_matrix(soft=self.soft)[face_ids].astype(np.float64)
+        sigs = self.face_map.signature_matrix()[face_ids].astype(np.float64)
         v = np.asarray(vector, dtype=float)
         diff = sigs - v[None, :]
         diff = np.where(np.isnan(diff), 0.0, diff)
@@ -100,13 +105,13 @@ class HeuristicMatcher:
         and each fallback — is one :meth:`~repro.geometry.faces.TraceScan.scan`
         of the trace instead: a row of one exact GEMM block for
         Definition-4 vectors against qualitative signatures, or the bounded
-        float64 GEMM filter plus exact rescoring for soft signatures and
-        fractional vectors.  Either is computed only once a row of its
+        float64 GEMM filter plus exact rescoring on a soft-signature map and
+        for fractional vectors.  Either is computed only once a row of its
         block needs it, and resolves to the same ties and best value as
         the loop's ``distances_to`` scan.
         """
         vectors = np.asarray(vectors)
-        scan = TraceScan(self.face_map, vectors, soft=self.soft)
+        scan = TraceScan(self.face_map, vectors)
         return [self._match(v, None, scan, b) for b, v in enumerate(vectors)]
 
     def _match(

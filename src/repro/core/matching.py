@@ -46,18 +46,17 @@ class MatchResult:
 class ExhaustiveMatcher:
     """Stateless full-scan matcher over a face map.
 
-    ``soft=True`` matches against the attached quantitative signatures
-    (extended FTTT, §6) instead of the qualitative {-1, 0, +1} ones.
+    A soft-signature map (extended FTTT, §6) is matched against its
+    quantitative signatures, any other against the qualitative ones.
     """
 
-    def __init__(self, face_map: FaceMap, *, soft: bool = False) -> None:
+    def __init__(self, face_map: FaceMap) -> None:
         self.face_map = face_map
-        self.soft = soft
 
     def match(self, vector: np.ndarray, start_face: "int | None" = None) -> MatchResult:
         """Match *vector* against every face (``start_face`` is ignored;
         accepted so exhaustive and heuristic matchers are interchangeable)."""
-        return self._result(*self.face_map.match(vector, soft=self.soft))
+        return self._result(*self.face_map.match(vector))
 
     def match_row(self, d2: np.ndarray, face_ids: "np.ndarray | None" = None) -> MatchResult:
         """Match from precomputed distances of every face, or of the
@@ -77,7 +76,7 @@ class ExhaustiveMatcher:
         (see :meth:`repro.geometry.faces.FaceMap.match_many`); the batch
         trades the per-round scans for GEMMs over the signature matrix.
         """
-        ties, bests = self.face_map.match_many(vectors, soft=self.soft)
+        ties, bests = self.face_map.match_many(vectors)
         return [self._result(t, float(best)) for t, best in zip(ties, bests)]
 
     def _result(self, face_ids: np.ndarray, sq_distance: float) -> MatchResult:

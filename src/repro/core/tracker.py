@@ -26,7 +26,7 @@ from repro.geometry.faces import FaceMap
 from repro.geometry.primitives import enumerate_pairs
 from repro.obs import metrics as obs
 from repro.obs.tracing import trace_event
-from repro.rf.channel import SampleBatch, n_reporting
+from repro.rf.channel import SampleBatch, as_round, n_reporting
 
 __all__ = [
     "DegradationPolicy",
@@ -237,13 +237,8 @@ class RoundTracker:
 
     def check_round(self, rss: np.ndarray) -> np.ndarray:
         """One round as a float ``(k, n)`` array; a sensor count other
-        than ``n_sensors`` raises ``ValueError``."""
-        rss = np.atleast_2d(np.asarray(rss, dtype=float))
-        if rss.shape[1] != self.n_sensors:
-            raise ValueError(
-                f"rss has {rss.shape[1]} sensors but the tracker expects {self.n_sensors}"
-            )
-        return rss
+        than ``n_sensors`` raises ``ValueError`` (:func:`~repro.rf.channel.as_round`)."""
+        return as_round(rss, self.n_sensors)
 
     def stack_trace(self, batches: "list[SampleBatch]") -> np.ndarray:
         """The ``(T, k, n)`` RSS stack of a trace, for the trace-at-a-time trackers.
@@ -288,10 +283,14 @@ class FTTTracker(RoundTracker):
 
     Parameters
     ----------
-    face_map : divided monitor area with signature vectors.
+    face_map : divided monitor area with signature vectors; the tracker
+        matches against the map it is given, so a soft-signature map
+        (:func:`repro.core.extended.attach_soft_signatures`) is matched by
+        its quantitative signatures.
     mode : ``"basic"`` uses Definition 4 pair values; ``"extended"`` uses
         the quantitative values of Definition 10 (§6), which break
-        similarity ties and smooth the trajectory.
+        similarity ties and smooth the trajectory.  The mode chooses only
+        the vector construction.
     matcher : ``"heuristic"`` = Algorithm 2 neighbor-link hill climbing
         (the paper's tracking algorithm); ``"exhaustive"`` = full scan.
     comparator_eps : RSS comparator deadband in dB (ties count as flips).
@@ -307,7 +306,6 @@ class FTTTracker(RoundTracker):
         mode: Mode = "basic",
         matcher: MatcherKind = "heuristic",
         comparator_eps: float = 0.0,
-        soft_signatures: "bool | None" = None,
         degradation: "DegradationPolicy | None" = None,
     ) -> None:
         if mode not in ("basic", "extended"):
@@ -319,27 +317,15 @@ class FTTTracker(RoundTracker):
         self.mode: Mode = mode
         self.comparator_eps = comparator_eps
         self._pairs = enumerate_pairs(face_map.n_nodes)
-        # extended mode matches against the quantitative (soft) signatures
-        # of §6 whenever they are attached to the face map
-        if soft_signatures is None:
-            soft_signatures = mode == "extended" and face_map.soft_signatures is not None
-        if soft_signatures and face_map.soft_signatures is None:
-            raise ValueError(
-                "soft_signatures requested but none attached; call "
-                "repro.core.extended.attach_soft_signatures(face_map, ...)"
-            )
-        self.soft_signatures = bool(soft_signatures)
         if matcher == "heuristic":
             # soft matching carries a per-pair fractional background distance,
             # so the fallback quality gate is proportionally looser
-            gate = 8.0 if self.soft_signatures else 4.0
+            gate = 8.0 if face_map.soft_signatures is not None else 4.0
             self.matcher: "HeuristicMatcher | ExhaustiveMatcher" = HeuristicMatcher(
-                face_map,
-                soft=self.soft_signatures,
-                fallback_sq_distance=gate,
+                face_map, fallback_sq_distance=gate
             )
         else:
-            self.matcher = ExhaustiveMatcher(face_map, soft=self.soft_signatures)
+            self.matcher = ExhaustiveMatcher(face_map)
         self.degradation = degradation
         self._flip_ewma: "np.ndarray | None" = None
         self._flip_obs: "np.ndarray | None" = None
@@ -461,7 +447,7 @@ class FTTTracker(RoundTracker):
         stuck/drifted endpoints plateau near 0.5.
         """
         pol = self.degradation
-        sigs = self.face_map.signature_matrix()[match.face_ids].astype(np.float64)
+        sigs = self.face_map.signatures[match.face_ids].astype(np.float64)
         sig = sigs.mean(axis=0) if len(match.face_ids) > 1 else sigs[0]
         valid = ~np.isnan(raw_vector)
         residual = np.abs(raw_vector[valid] - sig[valid]) / 2.0
@@ -511,7 +497,7 @@ class FTTTracker(RoundTracker):
         signatures.
         """
         ext = extended_sampling_vector(rss, self._pairs, comparator_eps=self.comparator_eps)
-        sigs = self.face_map.signature_matrix()[match.face_ids].astype(np.float64)
+        sigs = self.face_map.signatures[match.face_ids].astype(np.float64)
         prod = sigs * ext[None, :]
         prod = np.where(np.isnan(prod), 0.0, prod)
         agreement = prod.sum(axis=1)
@@ -559,7 +545,7 @@ class FTTTracker(RoundTracker):
     # -- tracking -------------------------------------------------------------
 
     def track(self, batches: Iterable[SampleBatch]) -> TrackResult:
-        """Track through a sequence of grouping samplings.
+        """Reset, then track through a sequence of grouping samplings.
 
         The matcher state persists across rounds, so the heuristic matcher
         starts each search from the previous face (Algorithm 2's
@@ -572,6 +558,7 @@ class FTTTracker(RoundTracker):
         holds are sequential, so it matches round by round.  Either way
         the result is bit-identical to a :meth:`localize` loop.
         """
+        self.reset()
         batches = list(batches)
         record = obs.enabled()
         t0 = time.perf_counter() if record else 0.0

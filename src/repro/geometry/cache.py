@@ -23,10 +23,7 @@ Two tiers:
   workers, CI shards, notebook restarts — share the build.  Writes are
   atomic (temp file + rename), so concurrent workers race benignly.
 
-Every lookup returns a fresh :class:`~repro.geometry.faces.FaceMap`
-wrapper sharing the (never-mutated) geometry arrays but with its own
-``soft_signatures`` slot, so per-scenario soft attachments cannot leak
-between cache users.  Disable entirely with ``REPRO_FACE_CACHE=0``.
+Disable entirely with ``REPRO_FACE_CACHE=0``.
 """
 
 from __future__ import annotations
@@ -149,14 +146,6 @@ class FaceMapCache:
     def clear(self) -> None:
         self._entries.clear()
 
-    # -- views -------------------------------------------------------------
-
-    @staticmethod
-    def _view(fm: FaceMap) -> FaceMap:
-        """Fresh FaceMap sharing arrays but owning its soft-signature slot."""
-        fm._sig_f32()  # materialize the shared float32 matrix once
-        return fm.view()
-
     # -- disk tier ---------------------------------------------------------
 
     def _disk_path(self, key: str) -> "Path | None":
@@ -228,7 +217,7 @@ class FaceMapCache:
             self.hits += 1
             if record:
                 obs.counter("geometry.cache.hits").inc()
-            return self._view(fm)
+            return fm
         fm = self._disk_load(key)
         if fm is not None:
             self.disk_hits += 1
@@ -261,7 +250,7 @@ class FaceMapCache:
                 self.evictions += 1
                 if record:
                     obs.counter("geometry.cache.evictions").inc()
-        return self._view(fm)
+        return fm
 
 
 _default_cache: "FaceMapCache | None" = None

@@ -87,6 +87,13 @@ class FaceMap:
     cell_face : (M,) face id of every grid cell.
     cell_counts : (F,) number of cells per face.
     adjacency : CSR-style neighbor-face links (``adj_indptr``/``adj_indices``).
+    soft_signatures : (F, P) float32 expected quantitative signatures (§6),
+        or None.  A map that has them is the soft-signature map of extended
+        FTTT (``repro.core.extended.attach_soft_signatures``) and every scan
+        of it matches against them.
+
+    No array of a map changes after construction; :meth:`replace` derives
+    a new map that shares every array it does not change.
     """
 
     _FIELDS = (
@@ -126,23 +133,12 @@ class FaceMap:
         self.adj_indices = adj_indices
         self.soft_signatures = soft_signatures
         self._signatures_f32: np.ndarray | None = None
-        self._qual_sq_rows: np.ndarray | None = None
-        self._qual_sq_t: np.ndarray | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"FaceMap(n_nodes={self.n_nodes}, n_faces={self.n_faces}, "
             f"n_pairs={self.n_pairs}, c={self.c})"
         )
-
-    def view(self) -> "FaceMap":
-        """A shallow copy sharing every (never-mutated) array but owning its
-        own ``soft_signatures`` slot, so callers can attach soft signatures
-        without leaking them into other holders of the same map."""
-        clone = FaceMap.__new__(FaceMap)
-        clone.__dict__.update(self.__dict__)
-        clone.soft_signatures = None
-        return clone
 
     def replace(self, **changes: object) -> "FaceMap":
         """A new ``FaceMap`` with *changes* applied (dataclasses.replace spirit)."""
@@ -204,19 +200,16 @@ class FaceMap:
             self._signatures_f32 = self.signatures.astype(np.float32)
         return self._signatures_f32
 
-    def signature_matrix(self, *, soft: bool = False) -> np.ndarray:
-        """(F, P) float32 signatures — qualitative, or the soft/expected
-        quantitative variant when attached (see ``repro.core.extended``)."""
-        if soft:
-            if self.soft_signatures is None:
-                raise ValueError(
-                    "no soft signatures attached; call "
-                    "repro.core.extended.attach_soft_signatures first"
-                )
+    def signature_matrix(self) -> np.ndarray:
+        """(F, P) float32 signatures every scan of this map matches against:
+        the soft (expected quantitative) ones of a map returned by
+        ``repro.core.extended.attach_soft_signatures``, the qualitative
+        ones otherwise."""
+        if self.soft_signatures is not None:
             return self.soft_signatures
         return self._sig_f32()
 
-    def distances_to(self, vector: np.ndarray, *, soft: bool = False) -> np.ndarray:
+    def distances_to(self, vector: np.ndarray) -> np.ndarray:
         """Squared vector distance from *vector* to every face signature.
 
         NaN components of *vector* are the ``*`` fault values of Eq. 7 and
@@ -230,7 +223,7 @@ class FaceMap:
         v = np.asarray(vector, dtype=np.float32)
         if v.shape != (self.n_pairs,):
             raise ValueError(f"vector has shape {v.shape}, expected ({self.n_pairs},)")
-        return self._scan_faces(self.signature_matrix(soft=soft), v)
+        return self._scan_faces(self.signature_matrix(), v)
 
     def _scan_faces(
         self, sigs: np.ndarray, v: np.ndarray, face_ids: "np.ndarray | None" = None
@@ -252,19 +245,11 @@ class FaceMap:
             out[start : start + rows] = np.einsum("fp,fp->f", diff, diff)
         return out
 
-    def _qual_sq(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached ``sum_p s^2`` per face and ``(s^2)^T`` for the GEMM expansion."""
-        if self._qual_sq_rows is None:
-            sq = np.square(self._sig_f32())
-            self._qual_sq_rows = sq.sum(axis=1)
-            self._qual_sq_t = np.ascontiguousarray(sq.T)
-        return self._qual_sq_rows, self._qual_sq_t
-
-    def distances_to_many(self, vectors: np.ndarray, *, soft: bool = False) -> np.ndarray:
+    def distances_to_many(self, vectors: np.ndarray) -> np.ndarray:
         """Squared vector distance from each of ``(B, P)`` *vectors* to every face.
 
         Bit-identical to calling :meth:`distances_to` per row.  When the
-        signatures are the qualitative ``{-1, 0, +1}`` set and every vector
+        map has only its qualitative ``{-1, 0, +1}`` signatures and every vector
         component is a small integer (the basic Definition-4 values), the
         batch is computed as one GEMM via the expansion
         ``|a - b|^2 = |a|^2 - 2 a.b + |b|^2`` — every product and partial
@@ -285,9 +270,9 @@ class FaceMap:
         """
         V = self._as_batch(vectors)
         if len(V) <= self._block_rows():
-            return self._distances_block(V, soft)
+            return self._distances_block(V)
         out = np.empty((len(V), self.n_faces), dtype=np.float32)
-        for start, d2 in self.distance_blocks(V, soft=soft):
+        for start, d2 in self.distance_blocks(V):
             out[start : start + len(d2)] = d2
         return out
 
@@ -296,9 +281,7 @@ class FaceMap:
         temporaries stay under ``_GEMM_TEMP_BYTES``."""
         return max(1, _GEMM_TEMP_BYTES // (4 * max(1, self.n_faces)))
 
-    def distance_blocks(
-        self, vectors: np.ndarray, *, soft: bool = False
-    ) -> Iterator[tuple[int, np.ndarray]]:
+    def distance_blocks(self, vectors: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
         """Yield ``(start, d2)`` row blocks of :meth:`distances_to_many`.
 
         ``d2`` holds the distances of rows ``start : start + len(d2)``;
@@ -307,15 +290,16 @@ class FaceMap:
         V = self._as_batch(vectors)
         step = self._block_rows()
         for start in range(0, len(V), step):
-            yield start, self._distances_block(V[start : start + step], soft)
+            yield start, self._distances_block(V[start : start + step])
 
-    def gemm_exact(self, vectors: np.ndarray, *, soft: bool = False) -> bool:
+    def gemm_exact(self, vectors: np.ndarray) -> bool:
         """True when the float32 GEMM expansion of :meth:`distances_to_many`
-        is exact for *vectors*: qualitative signatures and small-integer
-        components (NaN = ``*``).  Otherwise :meth:`distances_to_many`
-        computes one :meth:`distances_to` per row and :class:`TraceScan`
-        matches through its bounded float64 filter instead."""
-        if soft:
+        is exact for *vectors*: a map without soft signatures and
+        small-integer components (NaN = ``*``).  Otherwise
+        :meth:`distances_to_many` computes one :meth:`distances_to` per row
+        and :class:`TraceScan` matches through its bounded float64 filter
+        instead."""
+        if self.soft_signatures is not None:
             return False
         V = np.asarray(vectors, dtype=np.float32)
         v0 = np.where(np.isnan(V), np.float32(0.0), V)
@@ -327,21 +311,23 @@ class FaceMap:
             raise ValueError(f"vectors have shape {V.shape}, expected (B, {self.n_pairs})")
         return V
 
-    def _distances_block(self, V: np.ndarray, soft: bool) -> np.ndarray:
-        if not self.gemm_exact(V, soft=soft):
+    def _distances_block(self, V: np.ndarray) -> np.ndarray:
+        if not self.gemm_exact(V):
             out = np.empty((len(V), self.n_faces), dtype=np.float32)
             for b in range(len(V)):
-                out[b] = self.distances_to(V[b], soft=soft)
+                out[b] = self.distances_to(V[b])
             return out
         mask = np.isnan(V)
         v0 = np.where(mask, np.float32(0.0), V)
         sigs = self._sig_f32()
-        sq_rows, sq_t = self._qual_sq()
+        # squared per block, not kept: a cached map would otherwise hold an
+        # (F, P) copy for as long as the cache keeps the map
+        sq = np.square(sigs)
         v_sq = np.einsum("bp,bp->b", v0, v0)
-        d2 = v_sq[:, None] - np.float32(2.0) * (v0 @ sigs.T) + sq_rows[None, :]
+        d2 = v_sq[:, None] - np.float32(2.0) * (v0 @ sigs.T) + sq.sum(axis=1)[None, :]
         if mask.any():
             # masked columns must contribute zero, not s^2: subtract their energy
-            d2 -= mask.astype(np.float32) @ sq_t
+            d2 -= mask.astype(np.float32) @ sq.T
         return d2
 
     def tie_tolerance(self, best: float) -> float:
@@ -390,25 +376,23 @@ class FaceMap:
             obs.gauge("geometry.match.candidate_faces").set(self.n_faces)
         return ties, best
 
-    def match(self, vector: np.ndarray, *, soft: bool = False) -> tuple[np.ndarray, float]:
+    def match(self, vector: np.ndarray) -> tuple[np.ndarray, float]:
         """Exhaustive maximum-likelihood matching (paper §4.4-1).
 
         Returns ``(face_ids, sq_distance)`` — all faces tying at the minimum
         squared vector distance.  Similarity of Definition 7 is
         ``1/sqrt(sq_distance)`` (infinite on exact match).
         """
-        return self.best_faces(self.distances_to(vector, soft=soft))
+        return self.best_faces(self.distances_to(vector))
 
-    def match_many(
-        self, vectors: np.ndarray, *, soft: bool = False
-    ) -> tuple[list[np.ndarray], np.ndarray]:
+    def match_many(self, vectors: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
         """Batched :meth:`match` over ``(B, P)`` *vectors*.
 
         Returns ``(ties_per_row, best_sq_distances)`` — identical, row for
         row, to calling :meth:`match` in a loop: every row is one
         :meth:`TraceScan.scan`.
         """
-        scan = TraceScan(self, vectors, soft=soft)
+        scan = TraceScan(self, vectors)
         ties: list[np.ndarray] = []
         bests = np.empty(len(scan), dtype=float)
         for b in range(len(scan)):
@@ -418,28 +402,13 @@ class FaceMap:
             obs.counter("geometry.match.batched_rounds").inc(len(ties))
         return ties, bests
 
-    def match_position(self, vector: np.ndarray, *, soft: bool = False) -> np.ndarray:
-        """Position estimate: mean centroid of all maximum-similarity faces.
-
-        The paper's §6 rule — "the mean value of all the candidate faces
-        which have the maximum similarity".
-        """
-        ties, _ = self.match(vector, soft=soft)
-        return self.centroids[ties].mean(axis=0)
-
-    # -- ground truth helpers ----------------------------------------------
-
-    def expected_vector_for_point(self, point: np.ndarray) -> np.ndarray:
-        """Noise-free expected sampling vector at *point* (== its face signature)."""
-        return self.signature_of_point(point).astype(np.float64)
-
 
 class TraceScan:
     """On-demand exhaustive scans of the rows of one ``(T, P)`` trace.
 
     :meth:`scan` returns ``(d2, face_ids)`` for row ``b`` such that
     ``face_map.best_faces(d2, face_ids)`` equals
-    ``face_map.match(vectors[b], soft=soft)`` bit for bit, obs counters
+    ``face_map.match(vectors[b])`` bit for bit, obs counters
     included.  A block of rows is computed only once one of its rows is
     scanned — a filter block (below) once a second one is, since a filter
     pass costs several single scans: the block's first scan runs alone as
@@ -450,7 +419,7 @@ class TraceScan:
     * **Exact traces** (:meth:`FaceMap.gemm_exact`): ``d2`` is the row's
       full float32 GEMM distance row, bit-identical to ``distances_to``;
       ``face_ids`` is None (every face).
-    * **Other traces** (soft signatures, fractional vectors) have no exact
+    * **Other traces** (soft-signature maps, fractional vectors) have no exact
       GEMM.  A filter pass computes an approximate float64 d² of each of
       ``_FILTER_TRACE_ROWS`` rows to every face with the masked expansion
       ``sum m v^2 - 2 (m v) . s + m . s^2`` (``m`` zero on Eq. 7's ``*``
@@ -463,11 +432,10 @@ class TraceScan:
       the ties and the best value equal the full scan's.
     """
 
-    def __init__(self, face_map: FaceMap, vectors: np.ndarray, *, soft: bool = False) -> None:
+    def __init__(self, face_map: FaceMap, vectors: np.ndarray) -> None:
         self.face_map = face_map
-        self.soft = soft
         self.vectors = face_map._as_batch(vectors)
-        self.exact = face_map.gemm_exact(self.vectors, soft=soft)
+        self.exact = face_map.gemm_exact(self.vectors)
         self._rows = face_map._block_rows() if self.exact else _FILTER_TRACE_ROWS
         self._start = -1
         self._first = -1  # block whose first scan ran alone
@@ -485,10 +453,10 @@ class TraceScan:
         if start != self._start:
             rows = self.vectors[start : start + self._rows]
             if self.exact:
-                self._block = fm._distances_block(rows, self.soft)
+                self._block = fm._distances_block(rows)
             elif start != self._first:
                 self._first = start
-                return fm.distances_to(self.vectors[b], soft=self.soft), None
+                return fm.distances_to(self.vectors[b]), None
             else:
                 self._block, self._vsq = self._filter(rows)
             self._start = start
@@ -497,14 +465,13 @@ class TraceScan:
         approx = self._block[b - start]
         limit = self.limit(float(approx.min()), float(self._vsq[b - start]))
         face_ids = np.flatnonzero(approx <= limit)
-        sigs = fm.signature_matrix(soft=self.soft)
-        return fm._scan_faces(sigs, self.vectors[b], face_ids), face_ids
+        return fm._scan_faces(fm.signature_matrix(), self.vectors[b], face_ids), face_ids
 
     def _filter(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Approximate float64 d² of *V*'s rows to every face, and each
         row's ``sum m v^2``."""
         fm = self.face_map
-        sigs = fm.signature_matrix(soft=self.soft)
+        sigs = fm.signature_matrix()
         mask = np.isnan(V)
         v0 = np.where(mask, 0.0, V.astype(np.float64))
         vsq = np.einsum("bp,bp->b", v0, v0)

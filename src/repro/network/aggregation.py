@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.vectors import extended_sampling_vector, sampling_vector
 from repro.geometry.primitives import enumerate_pairs
-from repro.rf.channel import group_mean
+from repro.rf.channel import as_round, group_mean
 
 __all__ = ["ClusterAssignment", "assign_clusters", "DistributedVectorAssembly"]
 
@@ -134,11 +134,7 @@ class DistributedVectorAssembly:
         information — a pair straddling clusters reads ±1 or, only when a
         silent sensor is involved, the Eq. 6 fill).
         """
-        rss = np.atleast_2d(np.asarray(rss, dtype=float))
-        if rss.shape[1] != self.n_sensors:
-            raise ValueError(
-                f"rss has {rss.shape[1]} sensors, expected {self.n_sensors}"
-            )
+        rss = as_round(rss, self.n_sensors)
         # exact values as-if-centralized, for the intra-cluster entries
         if self.mode == "extended":
             full = extended_sampling_vector(rss, comparator_eps=self.comparator_eps)

@@ -611,18 +611,17 @@ def _soft_trace(spec: FuzzSpec, face_map, vectors: list) -> np.ndarray:
 def _check_soft_climb(spec: FuzzSpec, world: dict, vectors: list, divergences: list) -> int:
     """``heuristic_climb`` on soft signatures (extended FTTT, §6).
 
-    On a view of the world's map with its soft signatures attached, for
-    the trace plus near-tie probes (:func:`_soft_trace`):
+    On the soft-signature map of the world's map, for the trace plus
+    near-tie probes (:func:`_soft_trace`):
 
     * every :class:`~repro.geometry.faces.TraceScan` scan resolves to the
-      ties and best value of ``best_faces(distances_to(v, soft=True))``;
+      ties and best value of ``best_faces(distances_to(v))``;
     * no scan or climb result lies below the oracle optimum minus
       ``_extended_slack``;
     * soft ``match_many`` equals the ``match`` loop bit for bit.
     """
-    face_map = world["face_map"].view()
-    attach_soft_signatures(
-        face_map,
+    face_map = attach_soft_signatures(
+        world["face_map"],
         path_loss_exponent=spec.beta,
         noise_sigma_dbm=spec.sigma,
         resolution_dbm=spec.comparator_eps,
@@ -642,10 +641,10 @@ def _check_soft_climb(spec: FuzzSpec, world: dict, vectors: list, divergences: l
         return n_checks
 
     n_checks = 1
-    scan = TraceScan(face_map, trace, soft=True)
+    scan = TraceScan(face_map, trace)
     for r, v in enumerate(trace):
         ties, best = face_map.best_faces(*scan.scan(r))
-        want_ties, want_best = face_map.best_faces(face_map.distances_to(v, soft=True))
+        want_ties, want_best = face_map.best_faces(face_map.distances_to(v))
         if not np.array_equal(ties, want_ties) or best != want_best:
             return diverge(
                 "soft_scan", None, r,
@@ -656,14 +655,14 @@ def _check_soft_climb(spec: FuzzSpec, world: dict, vectors: list, divergences: l
             return diverge("below_optimum", None, r, sq_distance=best, floor=floors[r])
     for gate in _SOFT_CLIMB_GATES:
         n_checks += 1
-        matcher = HeuristicMatcher(face_map, soft=True, fallback_sq_distance=gate)
+        matcher = HeuristicMatcher(face_map, fallback_sq_distance=gate)
         loop = [matcher.match(v) for v in trace]
         for r, res in enumerate(loop):
             if res.sq_distance < floors[r]:
                 return diverge(
                     "below_optimum", gate, r, sq_distance=float(res.sq_distance), floor=floors[r]
                 )
-        batched = HeuristicMatcher(face_map, soft=True, fallback_sq_distance=gate).match_many(trace)
+        batched = HeuristicMatcher(face_map, fallback_sq_distance=gate).match_many(trace)
         n_checks += 1
         if _match_many_diverges(batched, loop, gate, divergences):
             return n_checks

@@ -14,7 +14,7 @@ import numpy as np
 from repro.rf.noise import GaussianNoise, NoiseModel
 from repro.rf.pathloss import LogDistancePathLoss
 
-__all__ = ["RssChannel", "SampleBatch", "group_mean", "n_reporting"]
+__all__ = ["RssChannel", "SampleBatch", "as_round", "group_mean", "n_reporting"]
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,15 @@ def n_reporting(rss: np.ndarray) -> "int | np.ndarray":
     sampling (an int), or per round of a ``(T, k, n)`` stack (a ``(T,)`` array)."""
     counts = np.count_nonzero(~np.isnan(rss).all(axis=-2), axis=-1)
     return int(counts) if np.ndim(counts) == 0 else counts
+
+
+def as_round(rss: np.ndarray, n_sensors: int) -> np.ndarray:
+    """One grouping sampling as a float ``(k, n)`` array; a sensor count
+    other than *n_sensors* raises ``ValueError``."""
+    rss = np.atleast_2d(np.asarray(rss, dtype=float))
+    if rss.shape[1] != n_sensors:
+        raise ValueError(f"rss has {rss.shape[1]} sensors but {n_sensors} are deployed")
+    return rss
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,10 @@ Each function isolates one decision and returns comparable records:
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.analysis.metrics import summarize_errors
 from repro.config import SimulationConfig
-from repro.core.extended import attach_soft_signatures
 from repro.core.tracker import FTTTracker
 from repro.rf.channel import RssChannel
 from repro.rf.shadowing import CommonModeNoise, TemporallyCorrelatedNoise
@@ -36,13 +33,20 @@ __all__ = [
 ]
 
 
-def _mean_over_reps(config: SimulationConfig, run_one, n_reps: int, seed: int) -> dict[str, float]:
-    """Run ``run_one(scenario, rng) -> {variant: TrackResult}`` over reps."""
+def _mean_over_reps(
+    config: SimulationConfig, run_one, n_reps: int, seed: int, **scenario_kwargs
+) -> dict[str, float]:
+    """Run ``run_one(scenario, rng) -> {variant: TrackResult}`` over reps.
+
+    Rep ``r`` builds its world with ``make_scenario(config, seed=rngs[2r],
+    **scenario_kwargs)`` and hands ``rngs[2r + 1]`` to *run_one*, so every
+    call with the same *seed* sees the same worlds and noise.
+    """
     rngs = spawn_rngs(seed, 2 * n_reps)
     sums: dict[str, list[float]] = {}
     stds: dict[str, list[float]] = {}
     for rep in range(n_reps):
-        scenario = make_scenario(config, seed=rngs[2 * rep])
+        scenario = make_scenario(config, seed=rngs[2 * rep], **scenario_kwargs)
         results = run_one(scenario, rngs[2 * rep + 1])
         for name, res in results.items():
             s = summarize_errors(res)
@@ -55,6 +59,30 @@ def _mean_over_reps(config: SimulationConfig, run_one, n_reps: int, seed: int) -
     return out
 
 
+def _fttt_as(label: str, noise=None):
+    """``run_one`` of one basic-FTTT variant named *label*, optionally on a
+    channel whose noise model is replaced by *noise*."""
+
+    def run_one(scenario: Scenario, rng) -> dict:
+        if noise is not None:
+            if isinstance(noise, TemporallyCorrelatedNoise):
+                noise.reset()
+            scenario.channel = RssChannel(
+                nodes=scenario.nodes,
+                pathloss=scenario.channel.pathloss,
+                noise=noise,
+                sensing_range_m=scenario.channel.sensing_range_m,
+            )
+            scenario.sampler = type(scenario.sampler)(
+                channel=scenario.channel,
+                k=scenario.sampler.k,
+                sampling_rate_hz=scenario.sampler.sampling_rate_hz,
+            )
+        return {label: scenario.make_tracker("fttt").track(generate_batches(scenario, rng))}
+
+    return run_one
+
+
 def ablate_uncertainty_constant(
     config: "SimulationConfig | None" = None, *, n_reps: int = 3, seed: int = 0
 ) -> dict[str, float]:
@@ -62,17 +90,7 @@ def ablate_uncertainty_constant(
     config = config or SimulationConfig(duration_s=30.0)
     out: dict[str, float] = {}
     for c_mode in ("paper", "calibrated"):
-        rngs = spawn_rngs(seed, 2 * n_reps)
-        means, stds = [], []
-        for rep in range(n_reps):
-            scenario = make_scenario(config, seed=rngs[2 * rep], c_mode=c_mode)
-            batches = generate_batches(scenario, rngs[2 * rep + 1])
-            tracker = scenario.make_tracker("fttt")
-            s = summarize_errors(tracker.track(batches))
-            means.append(s.mean)
-            stds.append(s.std)
-        out[c_mode] = float(np.mean(means))
-        out[c_mode + "/std"] = float(np.mean(stds))
+        out.update(_mean_over_reps(config, _fttt_as(c_mode), n_reps, seed, c_mode=c_mode))
     return out
 
 
@@ -106,28 +124,15 @@ def ablate_soft_signatures(
 
     def run_one(scenario: Scenario, rng) -> dict:
         batches = generate_batches(scenario, rng)
-        results = {}
+        # extended vectors on the qualitative map, then on its soft-signature map
         hard = FTTTracker(
-            scenario.face_map,
-            mode="extended",
-            comparator_eps=config.resolution_dbm,
-            soft_signatures=False,
-        )
-        results["extended/hard-sig"] = hard.track(batches)
-        attach_soft_signatures(
-            scenario.face_map,
-            path_loss_exponent=config.path_loss_exponent,
-            noise_sigma_dbm=config.noise_sigma_dbm,
-            resolution_dbm=config.resolution_dbm,
-            sensing_range=config.sensing_range_m,
-        )
-        soft = FTTTracker(
             scenario.face_map, mode="extended", comparator_eps=config.resolution_dbm
         )
-        results["extended/soft-sig"] = soft.track(batches)
-        basic = scenario.make_tracker("fttt")
-        results["basic"] = basic.track(batches)
-        return results
+        return {
+            "extended/hard-sig": hard.track(batches),
+            "extended/soft-sig": scenario.make_tracker("fttt-extended").track(batches),
+            "basic": scenario.make_tracker("fttt").track(batches),
+        }
 
     return _mean_over_reps(config, run_one, n_reps, seed)
 
@@ -151,29 +156,5 @@ def ablate_noise_structure(
     }
     out: dict[str, float] = {}
     for label, noise in variants.items():
-        rngs = spawn_rngs(seed, 2 * n_reps)
-        means, stds = [], []
-        for rep in range(n_reps):
-            scenario = make_scenario(config, seed=rngs[2 * rep])
-            if noise is not None:
-                if isinstance(noise, TemporallyCorrelatedNoise):
-                    noise.reset()
-                scenario.channel = RssChannel(
-                    nodes=scenario.nodes,
-                    pathloss=scenario.channel.pathloss,
-                    noise=noise,
-                    sensing_range_m=scenario.channel.sensing_range_m,
-                )
-                scenario.sampler = type(scenario.sampler)(
-                    channel=scenario.channel,
-                    k=scenario.sampler.k,
-                    sampling_rate_hz=scenario.sampler.sampling_rate_hz,
-                )
-            batches = generate_batches(scenario, rngs[2 * rep + 1])
-            tracker = scenario.make_tracker("fttt")
-            s = summarize_errors(tracker.track(batches))
-            means.append(s.mean)
-            stds.append(s.std)
-        out[label] = float(np.mean(means))
-        out[label + "/std"] = float(np.mean(stds))
+        out.update(_mean_over_reps(config, _fttt_as(label, noise), n_reps, seed))
     return out

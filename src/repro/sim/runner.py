@@ -96,7 +96,6 @@ def run_tracking(
         batches = generate_batches(
             scenario, rng, faults=faults, basestation=basestation, n_rounds=n_rounds
         )
-    tracker.reset()
     return tracker.track(batches)
 
 
@@ -154,7 +153,5 @@ def run_all_trackers(
     )
     results: dict[str, TrackResult] = {}
     for name in tracker_names:
-        tracker = scenario.make_tracker(name)
-        tracker.reset()
-        results[name] = tracker.track(batches)
+        results[name] = scenario.make_tracker(name).track(batches)
     return results

@@ -67,6 +67,7 @@ class Scenario:
     uncertainty_c: float
     _face_map: FaceMap | None = field(default=None, repr=False)
     _certain_map: FaceMap | None = field(default=None, repr=False)
+    _soft_map: FaceMap | None = field(default=None, repr=False)
 
     @property
     def n_sensors(self) -> int:
@@ -110,7 +111,8 @@ class Scenario:
         """Build a tracker bound to this scenario's maps.
 
         Names: ``fttt`` (basic, heuristic matching), ``fttt-extended``
-        (quantitative vectors), ``fttt-exhaustive`` (basic, full scan),
+        (quantitative vectors matched against the scenario's soft-signature
+        map, attached once per scenario), ``fttt-exhaustive`` (basic, full scan),
         ``fttt-robust`` (basic + the fault-lab degradation policy),
         ``fttt-zero`` (naive-zeroing strawman: ``*`` becomes 0),
         ``pm``, ``direct-mle``, ``range-mle``, ``pknn``,
@@ -130,16 +132,17 @@ class Scenario:
 
             return ZeroFillFTTT(self.face_map, mode="basic", matcher="heuristic", **overrides)
         if name == "fttt-extended":
-            from repro.core.extended import attach_soft_signatures
+            if self._soft_map is None:
+                from repro.core.extended import attach_soft_signatures
 
-            attach_soft_signatures(
-                self.face_map,
-                path_loss_exponent=self.config.path_loss_exponent,
-                noise_sigma_dbm=self.config.noise_sigma_dbm,
-                resolution_dbm=self.config.resolution_dbm,
-                sensing_range=self.config.sensing_range_m,
-            )
-            return FTTTracker(self.face_map, mode="extended", matcher="heuristic", **overrides)
+                self._soft_map = attach_soft_signatures(
+                    self.face_map,
+                    path_loss_exponent=self.config.path_loss_exponent,
+                    noise_sigma_dbm=self.config.noise_sigma_dbm,
+                    resolution_dbm=self.config.resolution_dbm,
+                    sensing_range=self.config.sensing_range_m,
+                )
+            return FTTTracker(self._soft_map, mode="extended", matcher="heuristic", **overrides)
         if name == "fttt-exhaustive":
             return FTTTracker(self.face_map, mode="basic", matcher="exhaustive", **overrides)
         if name == "pm":

@@ -85,17 +85,18 @@ class OutdoorSystem:
         period = self.k / self.sampling_rate_hz
         if n_rounds is None:
             n_rounds = max(1, int(self.path.duration_s / period))
+        face_map = self.face_map
         if mode == "extended":
             from repro.core.extended import attach_soft_signatures
 
             typical_d = self.field_size / 4.0
-            attach_soft_signatures(
-                self.face_map,
+            face_map = attach_soft_signatures(
+                face_map,
                 path_loss_exponent=self.channel.effective_pathloss_exponent(typical_d),
                 noise_sigma_dbm=self.channel.noise_sigma_db,
                 resolution_dbm=max(m.adc_step_db for m in self.motes),
             )
-        tracker = FTTTracker(self.face_map, mode=mode, matcher="heuristic")
+        tracker = FTTTracker(face_map, mode=mode, matcher="heuristic")
         batches = [self.sample_round(r * period, rng) for r in range(n_rounds)]
         return tracker.track(batches)
 

@@ -3,8 +3,10 @@
 ``RoundTracker.track`` resets the tracker and then localizes the trace
 round by round; for every baseline built on it that must equal a
 ``reset()`` followed by a ``localize_batch`` loop, bit for bit.  Every
-tracker the scenario factory builds rejects a round with the wrong
-sensor count through the one shared check.
+tracker the scenario factory builds tracks a trace the same whether or
+not it tracked another before, and rejects a round with the wrong
+sensor count through the one shared check (which the cluster-head
+vector assembly runs too).
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from repro.baselines import (
 )
 from repro.config import GridConfig, SimulationConfig
 from repro.core.tracker import RoundTracker
+from repro.network.aggregation import DistributedVectorAssembly, assign_clusters
 from repro.rf.channel import RssChannel, SampleBatch
 from repro.rf.pathloss import LogDistancePathLoss
 from repro.sim.runner import generate_batches
@@ -80,6 +83,25 @@ def test_track_is_reset_then_localize_batch_loop(four_nodes, name):
 
 
 @pytest.fixture(scope="module")
+def reuse_world():
+    cfg = SimulationConfig(n_sensors=10, duration_s=40.0, grid=GridConfig(cell_size_m=2.0))
+    scenario = make_scenario(cfg, seed=2)
+    return scenario, generate_batches(scenario, 9)
+
+
+@pytest.mark.parametrize("name", TRACKER_NAMES)
+def test_reused_tracker_tracks_like_a_fresh_one(reuse_world, name):
+    """``track`` starts every trace afresh: a tracker that already tracked
+    another trace gives a fresh tracker's result, bit for bit."""
+    scenario, batches = reuse_world
+    reused = scenario.make_tracker(name)
+    reused.track(batches[::-1])
+    result = reused.track(batches)
+    fresh = scenario.make_tracker(name).track(batches)
+    assert [_key(e) for e in result.estimates] == [_key(e) for e in fresh.estimates]
+
+
+@pytest.fixture(scope="module")
 def six_node_world():
     cfg = SimulationConfig(n_sensors=6, duration_s=4.0, grid=GridConfig(cell_size_m=5.0))
     scenario = make_scenario(cfg, seed=3)
@@ -103,5 +125,10 @@ def test_wrong_sensor_count_rejected(six_node_world, name, delta):
     assert isinstance(tracker, RoundTracker)
     with pytest.raises(ValueError, match="sensors"):
         tracker.track(bad)
-    with pytest.raises(ValueError, match="sensors"):
+    with pytest.raises(ValueError, match="sensors") as tracked:
         tracker.localize(bad[0].rss)
+    # the cluster-head assembly runs the same check, with the same message
+    assembly = DistributedVectorAssembly(assign_clusters(scenario.nodes, 2), n)
+    with pytest.raises(ValueError, match="sensors") as assembled:
+        assembly.assemble(bad[0].rss)
+    assert str(assembled.value) == str(tracked.value)

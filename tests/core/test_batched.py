@@ -107,17 +107,16 @@ class TestBatchedDistances:
         from repro.core.extended import attach_soft_signatures
 
         scenario, _, stack = world
-        fm = scenario.face_map
-        attach_soft_signatures(
-            fm,
+        fm = attach_soft_signatures(
+            scenario.face_map,
             path_loss_exponent=CFG.path_loss_exponent,
             noise_sigma_dbm=CFG.noise_sigma_dbm,
             resolution_dbm=CFG.resolution_dbm,
             sensing_range=CFG.sensing_range_m,
         )
         vectors = extended_sampling_vectors(stack, comparator_eps=1.0)
-        loop = np.stack([fm.distances_to(v, soft=True) for v in vectors])
-        assert np.array_equal(loop, fm.distances_to_many(vectors, soft=True))
+        loop = np.stack([fm.distances_to(v) for v in vectors])
+        assert np.array_equal(loop, fm.distances_to_many(vectors))
 
     def test_match_many_ties_identical(self, world):
         scenario, _, stack = world

@@ -111,21 +111,32 @@ class TestExpectedSignatures:
 
 
 class TestAttach:
-    def test_attach_is_idempotent(self, face_map):
-        attach_soft_signatures(face_map, path_loss_exponent=4.0, noise_sigma_dbm=6.0)
-        first = face_map.soft_signatures
-        attach_soft_signatures(face_map, path_loss_exponent=4.0, noise_sigma_dbm=6.0)
-        assert face_map.soft_signatures is first
+    def test_attach_returns_a_new_map(self, face_map):
+        soft = attach_soft_signatures(face_map, path_loss_exponent=4.0, noise_sigma_dbm=6.0)
+        assert soft is not face_map
+        assert face_map.soft_signatures is None
+        assert soft.signatures is face_map.signatures
+        want = expected_extended_signatures(face_map, path_loss_exponent=4.0, noise_sigma_dbm=6.0)
+        assert np.array_equal(soft.soft_signatures, want)
+
+    def test_second_attach_uses_its_own_parameters(self, face_map):
+        # re-attaching with other channel parameters must not keep the first
+        # signatures
+        first = attach_soft_signatures(face_map, path_loss_exponent=4.0, noise_sigma_dbm=6.0)
+        second = attach_soft_signatures(first, path_loss_exponent=4.0, noise_sigma_dbm=1.0)
+        want = expected_extended_signatures(face_map, path_loss_exponent=4.0, noise_sigma_dbm=1.0)
+        assert np.array_equal(second.soft_signatures, want)
+        assert not np.array_equal(first.soft_signatures, want)
 
     def test_enables_soft_tracker(self, face_map):
-        attach_soft_signatures(face_map, path_loss_exponent=4.0, noise_sigma_dbm=6.0)
-        tracker = FTTTracker(face_map, mode="extended")
-        assert tracker.soft_signatures
+        soft = attach_soft_signatures(face_map, path_loss_exponent=4.0, noise_sigma_dbm=6.0)
+        assert FTTTracker(soft, mode="extended").matcher.soft
 
-    def test_basic_mode_ignores_soft(self, face_map):
-        attach_soft_signatures(face_map, path_loss_exponent=4.0, noise_sigma_dbm=6.0)
-        tracker = FTTTracker(face_map, mode="basic")
-        assert not tracker.soft_signatures
+    def test_mode_chooses_only_the_vectors(self, face_map):
+        # a tracker matches against the map it is given, whatever its mode
+        soft = attach_soft_signatures(face_map, path_loss_exponent=4.0, noise_sigma_dbm=6.0)
+        assert FTTTracker(soft, mode="basic").matcher.soft
+        assert not FTTTracker(face_map, mode="extended").matcher.soft
 
 
 def _reference_signatures(

@@ -12,10 +12,9 @@ from repro.core.tracker import FTTTracker
 
 @pytest.fixture
 def soft_map(face_map):
-    attach_soft_signatures(
+    return attach_soft_signatures(
         face_map, path_loss_exponent=4.0, noise_sigma_dbm=6.0, resolution_dbm=1.0
     )
-    return face_map
 
 
 class TestSignatureMatrix:
@@ -25,12 +24,12 @@ class TestSignatureMatrix:
         assert m.shape == (face_map.n_faces, face_map.n_pairs)
 
     def test_soft_matrix_returned_when_attached(self, soft_map):
-        m = soft_map.signature_matrix(soft=True)
-        assert m is soft_map.soft_signatures
+        assert soft_map.signature_matrix() is soft_map.soft_signatures
 
-    def test_soft_without_attachment(self, certain_map):
-        with pytest.raises(ValueError, match="soft"):
-            certain_map.signature_matrix(soft=True)
+    def test_soft_without_attachment(self, face_map, soft_map):
+        # the map attached to keeps scanning its qualitative signatures
+        assert face_map.soft_signatures is None
+        assert np.array_equal(face_map.signature_matrix(), face_map.signatures)
 
 
 class TestSoftMatching:
@@ -38,30 +37,31 @@ class TestSoftMatching:
         # matching a face's own soft signature must return that face
         for fid in (0, soft_map.n_faces // 2):
             v = soft_map.soft_signatures[fid].astype(float)
-            ties, d2 = soft_map.match(v, soft=True)
+            ties, d2 = soft_map.match(v)
             assert fid in ties
             assert d2 == pytest.approx(0.0, abs=1e-6)
 
-    def test_soft_distances_differ_from_hard(self, soft_map):
+    def test_soft_distances_differ_from_hard(self, face_map, soft_map):
         v = soft_map.soft_signatures[0].astype(float)
-        d_hard = soft_map.distances_to(v, soft=False)
-        d_soft = soft_map.distances_to(v, soft=True)
+        d_hard = face_map.distances_to(v)
+        d_soft = soft_map.distances_to(v)
         assert not np.allclose(d_hard, d_soft)
 
     def test_soft_handles_nan(self, soft_map):
         v = soft_map.soft_signatures[1].astype(float).copy()
         v[0] = np.nan
-        ties, d2 = soft_map.match(v, soft=True)
+        ties, d2 = soft_map.match(v)
         assert 1 in ties
 
     def test_exhaustive_matcher_soft_flag(self, soft_map):
-        m = ExhaustiveMatcher(soft_map, soft=True)
+        m = ExhaustiveMatcher(soft_map)
         v = soft_map.soft_signatures[2].astype(float)
         res = m.match(v)
         assert 2 in res.face_ids
 
     def test_heuristic_matcher_soft_flag(self, soft_map):
-        m = HeuristicMatcher(soft_map, soft=True)
+        m = HeuristicMatcher(soft_map)
+        assert m.soft
         v = soft_map.soft_signatures[3].astype(float)
         res = m.match(v)  # exhaustive seed
         assert 3 in res.face_ids
@@ -76,20 +76,20 @@ class TestSoftMatching:
 class TestTrackerWiring:
     def test_extended_tracker_uses_soft_when_available(self, soft_map):
         tracker = FTTTracker(soft_map, mode="extended")
-        assert tracker.soft_signatures
         assert isinstance(tracker.matcher, HeuristicMatcher)
         assert tracker.matcher.soft
 
-    def test_extended_tracker_opt_out(self, soft_map):
-        tracker = FTTTracker(soft_map, mode="extended", soft_signatures=False)
-        assert not tracker.soft_signatures
+    def test_extended_tracker_opt_out(self, face_map):
+        # opting out of soft matching is handing the tracker the qualitative map
+        tracker = FTTTracker(face_map, mode="extended")
+        assert not tracker.matcher.soft
 
     def test_exhaustive_extended_tracker(self, soft_map):
         tracker = FTTTracker(soft_map, mode="extended", matcher="exhaustive")
         assert isinstance(tracker.matcher, ExhaustiveMatcher)
-        assert tracker.matcher.soft
+        assert tracker.matcher.face_map is soft_map
 
-    def test_soft_fallback_gate_is_looser(self, soft_map):
-        hard = FTTTracker(soft_map, mode="basic")
+    def test_soft_fallback_gate_is_looser(self, face_map, soft_map):
+        hard = FTTTracker(face_map, mode="extended")
         soft = FTTTracker(soft_map, mode="extended")
         assert soft.matcher.fallback_sq_distance > hard.matcher.fallback_sq_distance

@@ -94,9 +94,7 @@ def _toy_soft_map() -> FaceMap:
         cell_counts=np.array([3, 3, 3]),
         adj_indptr=np.array([0, 1, 3, 4]),
         adj_indices=np.array([1, 0, 2, 1]),
-    )
-    fm.soft_signatures = np.array(
-        [[1.0], [1.0 - 1e-4], [-1.0]], dtype=np.float32
+        soft_signatures=np.array([[1.0], [1.0 - 1e-4], [-1.0]], dtype=np.float32),
     )
     return fm
 
@@ -109,15 +107,16 @@ def test_soft_near_zero_face_does_not_tie_with_exact_match():
     with face 0's exact (infinite-similarity) match.
     """
     fm = _toy_soft_map()
-    ties, best = fm.match(np.array([1.0]), soft=True)
+    ties, best = fm.match(np.array([1.0]))
     assert best == 0.0
     assert ties.tolist() == [0]
 
 
 def test_soft_bit_equal_faces_still_tie():
-    fm = _toy_soft_map()
-    fm.soft_signatures = np.array([[1.0], [1.0], [-1.0]], dtype=np.float32)
-    ties, best = fm.match(np.array([1.0]), soft=True)
+    fm = _toy_soft_map().replace(
+        soft_signatures=np.array([[1.0], [1.0], [-1.0]], dtype=np.float32)
+    )
+    ties, best = fm.match(np.array([1.0]))
     assert best == 0.0
     assert ties.tolist() == [0, 1]
 

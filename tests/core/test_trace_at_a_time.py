@@ -84,7 +84,7 @@ def test_track_identical_to_localize_loop(world, name):
     assert [_key(e) for e in batched.estimates] == [_key(e) for e in looped]
     assert batched_obs == loop_obs
     # soft (extended) climbs count under their own prefix
-    prefix = "core.heuristic.soft" if batched_tracker.soft_signatures else "core.heuristic"
+    prefix = "core.heuristic.soft" if batched_tracker.matcher.soft else "core.heuristic"
     assert batched_obs[f"{prefix}.fallbacks"]["value"] > 0
     assert batched_obs[f"{prefix}.init_scans"]["value"] == 1
     assert _key(batched_tracker._prev_estimate) == _key(looped[-1])

@@ -82,10 +82,6 @@ class TestModesAndMatchers:
         with pytest.raises(ValueError, match="matcher"):
             FTTTracker(face_map, matcher="bogus")
 
-    def test_soft_without_attachment_rejected(self, face_map):
-        with pytest.raises(ValueError, match="soft"):
-            FTTTracker(face_map, soft_signatures=True)
-
     def test_extended_mode_builds_extended_vectors(self, face_map):
         tracker = FTTTracker(face_map, mode="extended")
         rss = np.array([[10.0, 5.0, 1.0, 0.0]] * 5 + [[5.0, 10.0, 1.0, 0.0]])

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.extended import attach_soft_signatures
 from repro.geometry.cache import (
     FaceMapCache,
     configure_face_map_cache,
@@ -134,11 +135,15 @@ class TestMemoryTier:
         assert len(cache) == 0
 
     def test_soft_signatures_do_not_leak_between_users(self, four_nodes, small_grid):
+        # attaching returns a new map: the cached one, and any later
+        # lookup of it, stays qualitative
         cache = FaceMapCache(maxsize=4)
         first = cache.get_or_build(four_nodes, small_grid, 1.5)
-        first.soft_signatures = np.zeros((first.n_faces, first.n_pairs), dtype=np.float32)
+        soft = attach_soft_signatures(first, path_loss_exponent=4.0, noise_sigma_dbm=6.0)
         second = cache.get_or_build(four_nodes, small_grid, 1.5)
-        assert second.soft_signatures is None
+        assert soft.soft_signatures is not None
+        assert first.soft_signatures is None
+        assert second is first
 
 
 class TestDiskTier:

@@ -126,14 +126,12 @@ class TestMatching:
             face_map.distances_to(np.zeros(3))
 
     def test_match_position_mean_of_ties(self, face_map):
+        from repro.core.matching import ExhaustiveMatcher
+
         v = face_map.signatures[0].astype(float)
-        pos = face_map.match_position(v)
+        pos = ExhaustiveMatcher(face_map).match(v).position
         ties, _ = face_map.match(v)
         assert np.allclose(pos, face_map.centroids[ties].mean(axis=0))
-
-    def test_soft_matching_requires_attachment(self, face_map):
-        with pytest.raises(ValueError, match="soft"):
-            face_map.match(face_map.signatures[0].astype(float), soft=True)
 
 
 class TestCertainVsUncertain:
@@ -171,9 +169,13 @@ class TestComponentSplitting:
 
 class TestExpectedVector:
     def test_expected_vector_matches_signature(self, face_map):
+        # the noise-free expected vector at a point is its face's signature,
+        # an exact match for that face
         p = np.array([25.0, 75.0])
-        v = face_map.expected_vector_for_point(p)
-        assert np.array_equal(v, face_map.signature_of_point(p).astype(float))
+        v = face_map.signature_of_point(p).astype(float)
+        assert np.array_equal(v, face_map.signatures[face_map.face_of_point(p)])
+        ties, d2 = face_map.match(v)
+        assert d2 == 0.0 and face_map.face_of_point(p) in ties
 
 
 class TestTieTolerance:
@@ -216,10 +218,10 @@ class TestTieTolerance:
         # the two rows hold the same multiset of values, so both squared
         # distances to the zero vector are mathematically identical; the
         # float32 sums differ by accumulation order
-        d2 = fm.distances_to(np.zeros(n_pairs), soft=True)
+        d2 = fm.distances_to(np.zeros(n_pairs))
         drift = abs(float(d2[0]) - float(d2[1]))
         assert drift <= fm.tie_tolerance(float(d2.min()))
-        ties, best = fm.match(np.zeros(n_pairs), soft=True)
+        ties, best = fm.match(np.zeros(n_pairs))
         assert len(ties) == 2  # the absolute 1e-6 threshold split these
         assert fm.tie_tolerance(best) > 1e-6
 
@@ -257,9 +259,14 @@ class TestBlockedScan:
         )
 
     @staticmethod
-    def _single_block(fm, v, soft):
+    def _map(soft_map, soft):
+        """The soft-signature map, or the same map without its soft signatures."""
+        return soft_map if soft else soft_map.replace(soft_signatures=None)
+
+    @staticmethod
+    def _single_block(fm, v):
         v = np.asarray(v, dtype=np.float32)
-        diff = fm.signature_matrix(soft=soft) - v
+        diff = fm.signature_matrix() - v
         diff[:, np.isnan(v)] = 0.0
         return np.einsum("fp,fp->f", diff, diff)
 
@@ -276,7 +283,7 @@ class TestBlockedScan:
     def test_every_block_size_matches_one_pass(self, soft_map, monkeypatch, soft):
         from repro.geometry import faces
 
-        fm = soft_map
+        fm = self._map(soft_map, soft)
         n = fm.n_faces
         tail_one = [r for r in range(2, n) if n % r == 1]
         # F - 1 rows leaves a 1-row tail; the rest leave other partial tails
@@ -284,19 +291,19 @@ class TestBlockedScan:
         assert any(n % r == 1 for r in sizes)
         assert any(r < n and n % r not in (0, 1) for r in sizes)
         vectors = self._vectors(fm, soft)
-        want = [self._single_block(fm, v, soft) for v in vectors]
+        want = [self._single_block(fm, v) for v in vectors]
         for rows in sizes:
             monkeypatch.setattr(faces, "_SCAN_BLOCK_BYTES", rows * 4 * fm.n_pairs)
             for v, ref in zip(vectors, want):
-                got = fm.distances_to(v, soft=soft)
+                got = fm.distances_to(v)
                 assert got.dtype == ref.dtype
                 assert np.array_equal(got, ref), rows
 
     def test_default_block_size(self, soft_map):
-        fm = soft_map
         for soft in (False, True):
+            fm = self._map(soft_map, soft)
             for v in self._vectors(fm, soft):
-                assert np.array_equal(fm.distances_to(v, soft=soft), self._single_block(fm, v, soft))
+                assert np.array_equal(fm.distances_to(v), self._single_block(fm, v))
 
 
 class TestChunkedMatching:

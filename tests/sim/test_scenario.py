@@ -78,8 +78,12 @@ class TestMakeTracker:
     def test_extended_gets_soft_signatures(self, cfg):
         s = make_scenario(cfg, seed=4)
         tracker = s.make_tracker("fttt-extended")
-        assert tracker.soft_signatures
-        assert s.face_map.soft_signatures is not None
+        assert tracker.matcher.soft
+        assert tracker.face_map.signatures is s.face_map.signatures
+        # attached once per scenario; basic trackers keep the qualitative map
+        assert s.make_tracker("fttt-extended").face_map is tracker.face_map
+        assert s.face_map.soft_signatures is None
+        assert s.make_tracker("fttt").face_map is s.face_map
 
     def test_pm_inherits_vmax(self, cfg):
         s = make_scenario(cfg, seed=4)
